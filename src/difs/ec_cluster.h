@@ -17,79 +17,32 @@
 #define SALAMANDER_DIFS_EC_CLUSTER_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "core/minidisk.h"
-#include "difs/placement.h"
-#include "faults/fault_injector.h"
-#include "integrity/checksum.h"
-#include "sched/queueing.h"
-#include "ssd/ssd_device.h"
+#include "difs/cluster_core.h"
 #include "telemetry/metrics.h"
 
 namespace salamander {
 
 using StripeId = uint64_t;
 
-struct EcConfig {
+// EC-specific config; the fields both schemes share (devices per node,
+// fill, seed, sched, placement & drain, maintenance interval, faults,
+// suspect windows) come from ClusterConfig.
+struct EcConfig : ClusterConfig {
   uint32_t nodes = 9;
-  uint32_t devices_per_node = 1;
   // RS(k + m): tolerate any m cell losses per stripe.
   uint32_t data_cells = 4;    // k
   uint32_t parity_cells = 2;  // m
   // Cell size in oPages; Salamander devices set mSize equal to this.
   uint64_t cell_opages = 64;
-  // Fraction of initial cluster slots to fill with stripe cells.
-  double fill_fraction = 0.6;
-  uint64_t seed = 1;
-
-  // Cluster-level chaos injector (node outages, lost AckDrains) — distinct
-  // from the per-device injectors; nullptr disables. Same contract as
-  // DifsConfig::faults.
-  std::shared_ptr<FaultInjector> faults;
-  // Every this many foreground ops: outage lottery/rejoin + lost-ack resend.
-  // 0 = automatic (256 when any injector is attached, dormant otherwise, so
-  // the fault-free RNG schedule is untouched).
-  uint64_t maintenance_interval_ops = 0;
-  // Grace window for transiently dark devices (power loss), in maintenance
-  // ticks. While a device is suspect the cluster neither declares its cells
-  // lost nor queues rebuilds; if it restarts within the window its cells are
-  // reconciled (fresh ones revived, stale ones rebuilt), otherwise the
-  // window expires into the ordinary loss path. 0 — the default — disables
-  // the window entirely: a dark device is treated like a brick immediately,
-  // which preserves the legacy behavior bit for bit. Same contract as
-  // DifsConfig::suspect_grace_ticks.
-  uint32_t suspect_grace_ticks = 0;
-
-  // Per-device service queues, admission control, hedged reads, and the
-  // brownout SLO guard (ISSUE 9). sched.queue_depth == 0 (default) disables
-  // the whole layer: no queues, no extra RNG streams, byte-identical
-  // outputs. Same contract as DifsConfig::sched.
-  SchedConfig sched;
-
-  // ---- Failure domains, placement & proactive drain (ISSUE 10; same
-  // contracts as the DifsConfig fields of the same names) -------------------
-  // Nodes per rack / power domain (rack = node / nodes_per_rack); 0 or 1
-  // keeps every node its own rack.
-  uint32_t nodes_per_rack = 0;
-  // Pluggable placement policy; nullptr (default) and UniformPlacement both
-  // replay the legacy draw sequence bit-for-bit.
-  std::shared_ptr<PlacementPolicy> placement;
-  // Drain the budgeted rebuild batch in criticality order (fewest live
-  // cells first, ties by stripe id) instead of FIFO.
-  bool criticality_ordered_recovery = false;
-  // Proactive health-driven drain threshold; 0 disables the scan.
-  double drain_health_threshold = 0.0;
-  double drain_pec_horizon = 0.25;
 };
 
-struct EcStats {
+// EC-specific counters on top of the shared ClusterStats.
+struct EcStats : ClusterStats {
   uint64_t foreground_logical_writes = 0;  // logical oPage updates
   uint64_t foreground_device_writes = 0;   // data + parity device writes
   uint64_t rebuild_opage_reads = 0;        // k-way reconstruction reads
@@ -100,49 +53,12 @@ struct EcStats {
   uint64_t stripes_lost = 0;               // > m concurrent cell losses
   uint64_t rebuild_deferred = 0;
 
-  // ---- Chaos parity with DifsStats ----------------------------------------
-  uint64_t drains_started = 0;   // kDraining events observed
-  uint64_t drains_acked = 0;     // drains answered with AckDrain
-  uint64_t acks_lost = 0;        // AckDrains that never reached a device
-  uint64_t node_outages = 0;     // injected outages started
-  uint64_t outage_write_skips = 0;  // cell writes skipped, node out
-  uint64_t maintenance_ticks = 0;
-
-  // ---- End-to-end integrity (same contract as DifsStats) ------------------
-  uint64_t integrity_detected = 0;     // corrupt fpage reads observed
-  uint64_t integrity_marked_bad = 0;   // cells retired for corruption
   uint64_t integrity_retained_cells = 0;  // corrupt cell kept: stripe at k
-
-  // ---- Suspect windows (transient power loss; same contract as DifsStats) -
-  uint64_t suspect_windows_started = 0;
-  uint64_t suspect_windows_expired = 0;   // grace ran out: treated as brick
-  uint64_t suspect_devices_returned = 0;  // restarted within the window
   uint64_t suspect_cells_revived = 0;     // survived the power loss intact
   uint64_t suspect_cells_stale = 0;       // missed/lost writes: rebuilt
-
-  // ---- Queueing & graceful degradation (ISSUE 9; same contract as
-  // DifsStats' sched block — all identically zero while disabled) ----------
-  uint64_t sched_read_sheds = 0;       // foreground reads refused admission
-  uint64_t sched_write_sheds = 0;      // logical writes shed whole
-  uint64_t sched_rebuild_sheds = 0;    // rebuild attempts refused admission
-  uint64_t sched_wait_ns = 0;          // queue wait folded into op costs
-  uint64_t sched_hedged_reads = 0;     // modeled reconstruction hedges fired
-  uint64_t sched_hedge_wins = 0;       // hedge completed before the primary
+  uint64_t sched_rebuild_sheds = 0;       // rebuild attempts refused admission
   uint64_t brownout_rebuild_deferrals = 0;  // rebuild waves parked under SLO
-
-  // ---- Failure domains, placement & proactive drain (ISSUE 10; same
-  // contract as the DifsStats block of the same names) ----------------------
-  uint64_t placement_domain_rejections = 0;
-  uint64_t placement_domain_fallbacks = 0;
-  uint64_t drain_devices_flagged = 0;
-  uint64_t drain_devices_completed = 0;
-  uint64_t drain_cells_migrated = 0;   // cells moved off ahead of failure
-  uint64_t drain_opage_reads = 0;
-  uint64_t drain_opage_writes = 0;
-  uint64_t drain_migrations_parked = 0;
-  uint64_t drain_brownout_deferrals = 0;
-  // Sub-count of sched_rebuild_sheds (drain I/O rides OpClass::kRecovery).
-  uint64_t drain_sched_sheds = 0;
+  uint64_t drain_cells_migrated = 0;      // cells moved off ahead of failure
 
   uint64_t rebuild_read_bytes() const { return rebuild_opage_reads * 4096; }
   uint64_t rebuild_write_bytes() const { return rebuild_opage_writes * 4096; }
@@ -183,11 +99,9 @@ struct Stripe {
   }
 };
 
-class EcCluster {
+class EcCluster final : public ClusterCore {
  public:
-  EcCluster(const EcConfig& config,
-            const std::function<std::unique_ptr<SsdDevice>(uint32_t)>&
-                device_factory);
+  EcCluster(const EcConfig& config, const DeviceFactory& device_factory);
 
   // Places stripes (k+m node-disjoint cells each) and writes every LBA.
   Status Bootstrap();
@@ -223,54 +137,15 @@ class EcCluster {
     return stripes_.size() * config_.data_cells * config_.cell_opages;
   }
 
-  void ProcessEvents();
-
-  // Lost-ack resend + outage expiry + rebuild retry, driven to quiescence.
-  // Chaos tests call this after a fault burst to assert convergence.
-  void ForceReconcile();
+  // Drains device events and runs the rebuild scheduler (also invoked
+  // internally by every foreground op).
+  void ProcessEvents() override;
 
   const EcStats& stats() const { return stats_; }
-  // Node currently unreachable due to an injected outage, or -1.
-  int32_t outage_node() const { return outage_node_; }
-
-  // ---- Tick scheduling (discrete-event drivers) ---------------------------
-  // Same contract as DifsCluster: when the next maintenance tick is due, so
-  // an event-driven harness can jump instead of polling per op.
-
-  // True when maintenance can never fire (auto interval, no injector).
-  bool MaintenanceDormant() const;
-  // Foreground ops until the next tick fires (>= 1); UINT64_MAX when dormant.
-  uint64_t OpsUntilMaintenanceTick() const;
   uint64_t total_stripes() const { return stripes_.size(); }
   uint64_t stripes_fully_redundant() const;
   uint64_t stripes_degraded() const;
-  uint32_t alive_devices() const;
   const Stripe& stripe(StripeId id) const { return stripes_[id]; }
-  uint32_t node_of_device(uint32_t device) const {
-    return device / config_.devices_per_node;
-  }
-  // Failure-domain topology: consecutive nodes share a rack.
-  uint32_t rack_of_node(uint32_t node) const {
-    return node / (config_.nodes_per_rack == 0 ? 1 : config_.nodes_per_rack);
-  }
-  uint32_t rack_of_device(uint32_t device) const {
-    return rack_of_node(node_of_device(device));
-  }
-  uint64_t free_slots() const;
-  SsdDevice& device(uint32_t index) { return *devices_[index].device; }
-  uint32_t device_count() const {
-    return static_cast<uint32_t>(devices_.size());
-  }
-
-  // ---- Queueing introspection (ISSUE 9) -----------------------------------
-  // Simulated arrival clock; 0 while the layer is disabled.
-  uint64_t sched_clock_ns() const { return sched_clock_ns_; }
-  // The device's service queue, or nullptr while the layer is disabled.
-  const DeviceQueue* device_queue(uint32_t index) const {
-    return devices_[index].device->queue();
-  }
-  // The SLO guard, or nullptr unless sched.slo_p99_ns > 0.
-  const BrownoutController* brownout() const { return brownout_.get(); }
 
   // Scrapes EcStats with difs.*-parity names ("<prefix>ec.*"), replication-
   // health gauges, and every device's "<prefix>ssd.*" subtree. Cluster-level
@@ -280,29 +155,6 @@ class EcCluster {
                       const std::string& prefix = "") const;
 
  private:
-  static constexpr int64_t kFreeSlot = -1;
-
-  struct DeviceState {
-    std::unique_ptr<SsdDevice> device;
-    uint32_t slots_per_mdisk = 0;
-    // slot -> packed (stripe, cell) or kFreeSlot.
-    std::unordered_map<MinidiskId, std::vector<int64_t>> slots;
-    uint64_t free_slot_count = 0;
-    // Last FTL silent-corruption count reconciled into integrity_detected.
-    uint64_t observed_silent_corrupt = 0;
-    // Last SsdDevice::dropped_events() value reconciled; a delta means the
-    // event queue overflowed (e.g. a brick under a full queue) and the slot
-    // map must resync against ground truth (see ApplyDeviceEvents).
-    uint64_t observed_dropped_events = 0;
-    // ---- Suspect window (transient power loss) ----------------------------
-    bool suspect = false;            // inside a grace window right now
-    uint32_t suspect_ticks_left = 0;
-    bool down_handled = false;       // window expired: losses declared
-    // ---- Proactive health-driven drain (same contract as DifsCluster) -----
-    bool health_draining = false;    // flagged: evacuating, no new placements
-    bool health_drain_done = false;  // evacuation completed (counted once)
-  };
-
   static int64_t PackRef(StripeId stripe, uint32_t cell) {
     return static_cast<int64_t>((stripe << 8) | cell);
   }
@@ -313,18 +165,32 @@ class EcCluster {
     return static_cast<uint32_t>(ref & 0xff);
   }
 
-  size_t ApplyDeviceEvents(uint32_t device_index);
-  void HandleMdiskLoss(uint32_t device_index, MinidiskId mdisk);
-  void HandleMdiskCreated(uint32_t device_index, MinidiskId mdisk);
-  void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk);
-  uint64_t DrainPendingRebuilds();
+  // ---- Core hooks ----------------------------------------------------------
+  const ClusterConfig& shared_config() const override { return config_; }
+  ClusterStats& shared_stats() override { return stats_; }
+  const ClusterStats& shared_stats() const override { return stats_; }
+  void LoseUnit(uint32_t device_index, MinidiskId mdisk, uint32_t slot,
+                int64_t ref) override;
+  // EC forgoes replication's grace window: parity can reconstruct any cell,
+  // so a draining mDisk is retired like a lost one — its cells queued for
+  // rebuild — and the drain is acked on the spot.
+  void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk) override;
+  // One pass over the pending-rebuild queue; returns cells rebuilt.
+  uint64_t RunRepairPass() override;
+  // Walks stripes in id order and moves live cells off flagged devices.
+  void MigrateOffFlaggedDevices() override;
+  // Fresh: the cell missed no write while dark (not `stale`) and no LBA in
+  // its range rolled back. Stale cells are retired and rebuilt from parity.
+  void ReconcileReturnedUnit(uint32_t device_index, MinidiskId mdisk,
+                             uint32_t slot, int64_t ref) override;
+  uint64_t unit_groups() const override { return stripes_.size(); }
+  uint64_t GroupOfRef(int64_t ref) const override { return RefStripe(ref); }
+  void AppendLiveUnits(uint64_t group,
+                       std::vector<LiveUnit>* out) const override;
+
   bool RebuildOneCell(StripeId stripe_id);
-  bool PickTarget(const std::vector<uint32_t>& exclude_nodes,
-                  uint32_t* device_out, MinidiskId* mdisk_out,
-                  uint32_t* slot_out);
-  // ---- Proactive health-driven drain (ISSUE 10; same contract as
-  // DifsCluster::ProactiveDrainTick / MigrateReplicaOff) --------------------
-  void ProactiveDrainTick();
+  // Moves one live cell off a flagged device (same contract as
+  // DifsCluster::MigrateReplicaOff).
   bool MigrateCellOff(Stripe& stripe, CellLocation& cell);
   // Writes one cell oPage; on success returns the device write latency.
   StatusOr<SimDuration> WriteCell(CellLocation& cell, uint64_t offset);
@@ -338,75 +204,24 @@ class EcCluster {
   Status ReadLogicalBody(Stripe& stripe, uint32_t data_cell, uint64_t offset,
                          SimDuration* cost_ns);
 
-  // ---- Chaos & integrity machinery ----------------------------------------
-
-  bool NodeOut(uint32_t device_index) const {
-    return outage_node_ >= 0 &&
-           node_of_device(device_index) == static_cast<uint32_t>(outage_node_);
-  }
-  // Delivers AckDrain, subject to injected ack loss and node outage; a lost
-  // ack leaves the mDisk in kDraining limbo until maintenance re-sends it.
-  bool SendAckDrain(uint32_t device_index, MinidiskId mdisk);
-  void MaybeRunMaintenance();
-  void MaintenanceTick();
-  // Effective tick interval: maintenance_interval_ops, or the auto default
-  // (256) when 0. Dormancy is decided separately by MaintenanceDormant().
-  uint64_t MaintenanceIntervalOps() const;
-  // Resyncs cluster slot maps against device ground truth: missed drains and
-  // decommissions, missed kCreated capacity, and kDraining mDisks whose ack
-  // was lost (re-sent here). Skips out-node devices.
-  void ReconcileAll();
-  // Per-device body of ReconcileAll; also the suspect-window interception
-  // point — a transiently dark device with a grace window configured opens
-  // (or keeps) its window here instead of being treated as failed.
-  void ResyncDevice(uint32_t device_index);
-  // Ticks suspect windows: devices that restarted are reconciled via
-  // ResolveSuspect, expired windows fall back to the ordinary loss path.
-  void UpdateSuspectWindows();
-  // A suspect device returned within its window: drain its re-announcements,
-  // revive cells that survived the power loss intact (no missed writes, no
-  // rolled-back LBAs) and retire-and-rebuild the stale ones.
-  void ResolveSuspect(uint32_t device_index);
-  // Folds the device FTL's silent-corruption counter into integrity_detected;
-  // returns the last operation's corrupt fpage reads (see DifsCluster).
-  uint64_t ObserveCorruption(uint32_t device_index);
   // Retires a corrupt cell and (unless `enqueue` is false — the rebuild loop
   // already owns the stripe) queues the stripe for rebuild. Refuses when the
   // stripe is already at its reconstruction floor (k live cells) — dropping
   // the cell would lose the stripe; counts integrity_retained_cells.
   bool MarkCellBad(Stripe& stripe, CellLocation& cell, bool enqueue = true);
+  // Drops a live cell: frees its slot, marks it dead, and queues the stripe
+  // for rebuild when `enqueue`.
+  void RetireCell(Stripe& stripe, CellLocation& cell, bool enqueue);
 
-  // ---- Queueing & graceful degradation machinery (ISSUE 9) ----------------
-  bool QueueingEnabled() const { return config_.sched.enabled(); }
-  DeviceQueue* Queue(uint32_t device_index) {
-    return devices_[device_index].device->queue();
-  }
   // Admits the write fan-out (data cell + parity cells) at kForegroundWrite
   // on every target device, all-or-nothing; `extra_ns` receives the max of
   // the per-device waits (the fan-out is parallel) plus any shed backoff.
   bool AdmitForegroundWrite(const Stripe& stripe, uint32_t data_cell,
                             uint64_t* extra_ns);
-  // Feeds the brownout SLO guard (no-op unless configured).
-  void RecordForegroundLatency(uint64_t latency_ns);
 
-  EcConfig config_;
-  Rng rng_;
-  ChecksumCodec codec_;
-  std::vector<DeviceState> devices_;
-  std::vector<Stripe> stripes_;
-  std::deque<StripeId> pending_rebuilds_;
-  std::vector<StripeId> waiting_capacity_;
+  const EcConfig config_;
   EcStats stats_;
-  bool bootstrapped_ = false;
-  int32_t outage_node_ = -1;
-  uint32_t outage_ticks_left_ = 0;
-  uint64_t ops_since_maintenance_ = 0;
-  // ---- Queueing state (ISSUE 9; all dormant while sched is disabled) ------
-  uint64_t sched_clock_ns_ = 0;  // advances one arrival_interval per fg op
-  std::unique_ptr<BrownoutController> brownout_;
-  // ForceReconcile must converge even under brownout/admission pressure:
-  // while set, rebuild work bypasses both (chaos tests assert convergence).
-  bool reconcile_override_ = false;
+  std::vector<Stripe> stripes_;
 };
 
 }  // namespace salamander

@@ -301,6 +301,51 @@ TEST(PlacementDeterminismTest, EcUniformPolicyBitIdenticalToNullPolicy) {
   EXPECT_EQ(run(MakeUniformPlacement()), run(nullptr));
 }
 
+TEST(PlacementDeterminismTest, EcProactiveDrainMigratesAndAccountsSeparately) {
+  // The EC twin of ProactiveDrainMigratesAndAccountsSeparately, at the
+  // default (automatic) maintenance interval and with no fault injector:
+  // the drain threshold alone must wake maintenance, flag the fast-wearing
+  // devices and migrate their cells off before they die.
+  EcConfig config;
+  config.nodes = 6;
+  config.devices_per_node = 1;
+  config.data_cells = 2;
+  config.parity_cells = 2;
+  config.cell_opages = 16;
+  config.fill_fraction = 0.4;
+  config.seed = 20260807;
+  config.nodes_per_rack = 2;
+  config.drain_health_threshold = 0.6;
+  EcCluster cluster(config, Factory(606, /*nominal_pec=*/12));
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+  for (int round = 0; round < 400; ++round) {
+    (void)cluster.StepWrites(128);
+    cluster.ForceReconcile();
+    if (cluster.stats().drain_devices_flagged > 0 &&
+        cluster.stats().drain_cells_migrated > 0) {
+      break;
+    }
+  }
+  const EcStats& stats = cluster.stats();
+  ASSERT_GT(stats.drain_devices_flagged, 0u) << "threshold never crossed";
+  EXPECT_GT(stats.drain_cells_migrated, 0u);
+  EXPECT_EQ(stats.drain_opage_writes,
+            stats.drain_cells_migrated * config.cell_opages);
+  EXPECT_EQ(stats.stripes_lost, 0u);
+  EXPECT_TRUE(cluster.CheckInvariants().ok()) << cluster.CheckInvariants();
+  // The exported subtree mirrors the stats ledger, under ec.drain.* —
+  // disjoint from ec.rebuild_opage_writes.
+  MetricRegistry registry;
+  cluster.CollectMetrics(registry);
+  const Counter* drain_writes = registry.FindCounter("ec.drain.opage_writes");
+  const Counter* rebuild_writes =
+      registry.FindCounter("ec.rebuild_opage_writes");
+  ASSERT_NE(drain_writes, nullptr);
+  ASSERT_NE(rebuild_writes, nullptr);
+  EXPECT_EQ(drain_writes->value(), stats.drain_opage_writes);
+  EXPECT_EQ(rebuild_writes->value(), stats.rebuild_opage_writes);
+}
+
 // ISSUE 10 satellite: hedged reads when the only alternate replicas sit in
 // a dark (powered-off) domain. The hedge scan must skip dark devices and
 // fall back to the primary path — never admit a modeled duplicate against a
