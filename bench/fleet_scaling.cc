@@ -43,6 +43,7 @@
 //        --drain-health-threshold T / --drain-pec-horizon H (proactive
 //        health-driven retirement ahead of wear-out; 0 threshold = off).
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,38 @@ FleetConfig DatacenterFleet(SsdKind kind, uint32_t devices, uint32_t days,
   config.power_loss_per_device_day = power_loss_per_device_day;
   config.power_loss_restart_days = power_loss_restart_days;
   return config;
+}
+
+// The host a wall-clock figure was measured on, for BENCH_fleet.json: CPU
+// model (from /proc/cpuinfo where present), compiler and build type.
+std::string HostJson() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        cpu = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  std::string escaped;
+  for (char c : cpu) {
+    if (c == '"' || c == '\\') {
+      escaped += '\\';
+    }
+    escaped += c;
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  return "{\"cpu\": \"" + escaped + "\", \"compiler\": \"" + compiler +
+         "\", \"build_type\": \"" SALA_BUILD_TYPE "\"}";
 }
 
 struct KindResult {
@@ -454,13 +487,14 @@ int main(int argc, char** argv) {
                  domain.drain_health_threshold);
   }
   std::fprintf(json,
+               "  \"host\": %s,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"parallel_threads\": %u,\n"
                "  \"oversubscribed\": %s,\n"
                "  \"speedup_meaningful\": %s,\n"
                "  \"runs\": [\n",
-               ThreadPool::HardwareThreads(), parallel_threads,
-               oversubscribed ? "true" : "false",
+               HostJson().c_str(), ThreadPool::HardwareThreads(),
+               parallel_threads, oversubscribed ? "true" : "false",
                oversubscribed ? "false" : "true");
   for (size_t i = 0; i < results.size(); ++i) {
     const KindResult& r = results[i];

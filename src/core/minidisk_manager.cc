@@ -110,8 +110,16 @@ StatusOr<SimDuration> MinidiskManager::Write(MinidiskId mdisk, uint64_t lba) {
     ++valid_counts_[mdisk];
   }
   ++writes_since_forecast_;
-  RunCapacityMaintenance();
+  if (config_.drain_before_decommission || MaintenanceInputsMoved()) {
+    RunCapacityMaintenance();
+  }
   return result;
+}
+
+bool MinidiskManager::MaintenanceInputsMoved() const {
+  return ftl_->capacity_version() != maintained_capacity_version_ ||
+         live_logical_opages_ != maintained_live_logical_ ||
+         draining_logical_opages_ != maintained_draining_logical_;
 }
 
 StatusOr<ReadResult> MinidiskManager::Read(MinidiskId mdisk, uint64_t lba) {
@@ -217,6 +225,9 @@ void MinidiskManager::RunCapacityMaintenance() {
       ShedCapacityNow();
     }
   }
+  maintained_capacity_version_ = ftl_->capacity_version();
+  maintained_live_logical_ = live_logical_opages_;
+  maintained_draining_logical_ = draining_logical_opages_;
 }
 
 MinidiskId MinidiskManager::PickVictim() {
@@ -385,6 +396,7 @@ void MinidiskManager::Replay() {
   drains_forced_ = 0;
   forecast_tiring_opages_ = 0;
   writes_since_forecast_ = 0;
+  maintained_capacity_version_ = kNeverMaintained;
   // dropped_events_ survives: it is the monotone overflow signal hosts
   // reconcile against, and forgetting it would hide a pre-crash overflow.
 

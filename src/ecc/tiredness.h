@@ -24,6 +24,10 @@ struct FPageEccGeometry {
   double stripe_fail_target = 1e-11; // acceptable per-stripe fail probability
 
   uint32_t fpage_data_bytes() const { return opage_bytes * opages_per_fpage; }
+
+  // Memberwise, so a memo keyed on the whole struct (Ftl's shared ladder)
+  // picks up any field added later.
+  bool operator==(const FPageEccGeometry&) const = default;
 };
 
 // Derived ECC characteristics of one tiredness level.
@@ -38,6 +42,8 @@ struct TirednessLevelEcc {
   uint32_t correctable_bits_per_stripe = 0;  // t
   uint32_t stripe_codeword_bits = 0;         // n
   double max_tolerable_rber = 0.0;           // retirement threshold at this L
+
+  bool operator==(const TirednessLevelEcc&) const = default;
 };
 
 // Computes the profile for one level L in [0, opages_per_fpage]. At

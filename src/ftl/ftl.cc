@@ -1,8 +1,13 @@
 #include "ftl/ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <string>
+#include <utility>
 
 namespace salamander {
 
@@ -11,6 +16,22 @@ namespace {
 // Bound on GC rounds per trigger; progress resumes on the next host op if a
 // single trigger cannot reach the watermark (e.g. near-full device).
 constexpr uint32_t kMaxGcRoundsPerTrigger = 16;
+
+// Upper bound on oPages per fPage, so a flush batch fits in a fixed array on
+// the stack instead of a heap vector per flush.
+constexpr uint32_t kMaxOPagesPerFPage = 16;
+
+// Tiredness ladders keyed by the whole ECC geometry. Few distinct
+// geometries exist per process, so a linear scan over a flat list is the
+// whole lookup. Guarded for concurrent Ftl construction (fleet workers).
+std::mutex ladder_mutex;
+std::vector<std::pair<FPageEccGeometry, std::vector<TirednessLevelEcc>>>&
+LadderMemo() {
+  static std::vector<
+      std::pair<FPageEccGeometry, std::vector<TirednessLevelEcc>>>
+      memo;
+  return memo;
+}
 
 // Journal capacity: a full compacted snapshot (one kMap per oPage, one
 // kPageState per fPage, three records per mDisk — bounded by oPages) plus
@@ -34,11 +55,28 @@ uint64_t JournalCapacity(const FtlConfig& config) {
 
 }  // namespace
 
+std::vector<TirednessLevelEcc> Ftl::SharedTirednessLadder(
+    const FPageEccGeometry& geometry) {
+  std::lock_guard<std::mutex> lock(ladder_mutex);
+  for (const auto& [key, ladder] : LadderMemo()) {
+    if (key == geometry) {
+      return ladder;
+    }
+  }
+  LadderMemo().emplace_back(geometry, ComputeTirednessLadder(geometry));
+  return LadderMemo().back().second;
+}
+
+size_t Ftl::SharedTirednessLadderCount() {
+  std::lock_guard<std::mutex> lock(ladder_mutex);
+  return LadderMemo().size();
+}
+
 Ftl::Ftl(const FtlConfig& config)
     : config_(config),
       chip_(std::make_unique<FlashChip>(config.geometry, config.wear,
                                         config.latency, config.seed)),
-      ladder_(ComputeTirednessLadder(config.ecc_geometry)),
+      ladder_(SharedTirednessLadder(config.ecc_geometry)),
       rng_(config.seed ^ 0x9e3779b97f4a7c15ULL),
       journal_(JournalCapacity(config)) {
   assert(config_.geometry.Valid());
@@ -49,6 +87,13 @@ Ftl::Ftl(const FtlConfig& config)
           config_.max_usable_level == 0) &&
          "block-granular retirement implies a fixed L0 ECC");
   assert(config_.max_usable_level < config_.geometry.opages_per_fpage);
+  if (config_.geometry.opages_per_fpage > kMaxOPagesPerFPage) {
+    // Checked in every build: a larger fPage would overrun the fixed-size
+    // flush batch in FlushToTarget.
+    std::fprintf(stderr, "Ftl: %u oPages per fPage exceeds the limit of %u\n",
+                 config_.geometry.opages_per_fpage, kMaxOPagesPerFPage);
+    std::abort();
+  }
   assert(config_.gc_low_watermark_blocks >= 2 &&
          "GC needs at least two blocks of headroom");
 
@@ -349,26 +394,29 @@ Status Ftl::FlushToTarget(Stream stream, bool allow_partial,
     // Gather up to `capacity` live buffer entries, discarding stale ones.
     // A trim-then-rewrite can leave two deque entries for one lpo that both
     // still look "buffered" at pop time, so dedupe within the batch (it holds
-    // at most opages_per_fpage entries; linear scan is fine).
-    std::vector<uint64_t> batch;
-    batch.reserve(capacity);
-    while (batch.size() < capacity && !f.buffer.empty()) {
+    // at most opages_per_fpage entries; linear scan is fine). The batch is
+    // gathered only after NextProgramTarget, which can re-enter this
+    // function through GC.
+    std::array<uint64_t, kMaxOPagesPerFPage> batch;
+    size_t batch_size = 0;
+    while (batch_size < capacity && !f.buffer.empty()) {
       const uint64_t lpo = f.buffer.front();
       f.buffer.pop_front();
       if (lpo < mapping_.size() && mapping_[lpo] == BufferSentinel(stream) &&
-          std::find(batch.begin(), batch.end(), lpo) == batch.end()) {
-        batch.push_back(lpo);
+          std::find(batch.begin(), batch.begin() + batch_size, lpo) ==
+              batch.begin() + batch_size) {
+        batch[batch_size++] = lpo;
       }
     }
-    if (batch.empty()) {
+    if (batch_size == 0) {
       return OkStatus();  // everything was stale; nothing to program
     }
     StatusOr<SimDuration> program_time = chip_->ProgramFPage(target);
     if (!program_time.ok()) {
       // Keep the gathered entries flushable: restore them to the front of
       // the deque in their original order.
-      for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-        f.buffer.push_front(*it);
+      for (size_t k = batch_size; k-- > 0;) {
+        f.buffer.push_front(batch[k]);
       }
       if (program_time.status().code() != StatusCode::kDataLoss) {
         return program_time.status();
@@ -395,13 +443,13 @@ Status Ftl::FlushToTarget(Stream stream, bool allow_partial,
       }
     }
     const BlockIndex block = config_.geometry.BlockOfFPage(target);
-    for (size_t k = 0; k < batch.size(); ++k) {
+    for (size_t k = 0; k < batch_size; ++k) {
       const OPageSlot slot = config_.geometry.FirstSlotOfFPage(target) + k;
       mapping_[batch[k]] = slot;
       reverse_[slot] = batch[k];
       ++block_valid_[block];
     }
-    for (size_t k = 0; k < batch.size(); ++k) {
+    for (size_t k = 0; k < batch_size; ++k) {
       JournalAppend(JournalRecord{JournalRecordType::kMap, batch[k],
                                   config_.geometry.FirstSlotOfFPage(target) + k,
                                   0, 0});
@@ -410,11 +458,11 @@ Status Ftl::FlushToTarget(Stream stream, bool allow_partial,
       // The batch's L2P entries changed (buffered -> flash slot); mark their
       // map pages dirty. Internal touch: over-admits, never evicts — the
       // enclosing public op restores the window bound.
-      for (size_t k = 0; k < batch.size(); ++k) {
+      for (size_t k = 0; k < batch_size; ++k) {
         L2pTouch(batch[k], /*make_dirty=*/true, latency);
       }
     }
-    f.buffer_valid -= batch.size();
+    f.buffer_valid -= batch_size;
     f.next_page = static_cast<uint32_t>(
                       target - config_.geometry.FirstFPageOfBlock(block)) +
                   1;
@@ -692,6 +740,7 @@ void Ftl::ApplyLevelTransitions(BlockIndex block) {
 
 void Ftl::RetireInServicePage(FPageIndex fpage, unsigned old_level,
                               unsigned new_level) {
+  ++capacity_version_;
   usable_opages_ -= config_.geometry.opages_per_fpage - old_level;
   if (new_level <= config_.max_usable_level) {
     page_state_[fpage] = PageState::kLimbo;
@@ -710,6 +759,7 @@ void Ftl::RetireInServicePage(FPageIndex fpage, unsigned old_level,
 
 void Ftl::AdvanceLimboPage(FPageIndex fpage, unsigned old_level,
                            unsigned new_level) {
+  ++capacity_version_;
   --limbo_counts_[old_level];
   // The limbo_pages_ entry at the old level goes stale; ClaimLimboCapacity
   // validates level and state before using an entry.
@@ -758,6 +808,7 @@ uint64_t Ftl::ClaimLimboCapacity(uint64_t opages) {
       }
       page_state_[fpage] = PageState::kInService;
       const uint64_t capacity = config_.geometry.opages_per_fpage - level;
+      ++capacity_version_;
       usable_opages_ += capacity;
       claimed += capacity;
       --limbo_counts_[level];
@@ -1080,7 +1131,7 @@ std::vector<uint64_t> Ftl::L2pDurableContent(uint64_t map_index) const {
 }
 
 bool Ftl::UnsyncedTailHasMapFlush() const {
-  const std::vector<JournalRecord>& records = journal_.records();
+  const std::deque<JournalRecord>& records = journal_.records();
   for (uint64_t i = journal_.synced_count(); i < records.size(); ++i) {
     if (records[i].type == JournalRecordType::kMapFlush) {
       return true;
@@ -1201,7 +1252,7 @@ void Ftl::JournalPageState(FPageIndex fpage) {
 }
 
 void Ftl::CompactJournal() {
-  std::vector<JournalRecord> out;
+  std::deque<JournalRecord> out;
   // mDisk lifecycle history, compacted to at most two records per mDisk ever
   // created: the create, plus its terminal drain/drop if any. Creates appear
   // in id order because ids are assigned sequentially.
@@ -1330,6 +1381,7 @@ void Ftl::SimulatePowerLoss(uint64_t torn_records) {
 
 Status Ftl::Replay() {
   ++journal_replays_;
+  ++capacity_version_;  // usable capacity and limbo are rebuilt below
   const FlashGeometry& geometry = config_.geometry;
   const uint64_t fpages = geometry.total_fpages();
   const uint64_t blocks = geometry.total_blocks();

@@ -205,6 +205,17 @@ class Ftl {
     return ladder_;
   }
 
+  // ComputeTirednessLadder(geometry), built once per distinct geometry per
+  // process and copied out of a mutex-guarded memo after that: the ladder is
+  // a pure function of the geometry, and each build costs milliseconds of
+  // MaxTolerableRber bisection, which every device of a fleet would
+  // otherwise repeat. Thread-safe; the build runs under the lock, so a
+  // geometry is built exactly once even under concurrent construction.
+  static std::vector<TirednessLevelEcc> SharedTirednessLadder(
+      const FPageEccGeometry& geometry);
+  // Number of distinct geometries memoized so far (test hook).
+  static size_t SharedTirednessLadderCount();
+
   // ---- Logical address space ---------------------------------------------
 
   // Grows the logical oPage space by `opages`; returns the first new logical
@@ -257,6 +268,12 @@ class Ftl {
 
   // oPages the FTL needs as free headroom for GC to make progress.
   uint64_t gc_reserve_opages() const;
+
+  // Bumped whenever usable capacity, limbo counts or the transition queue
+  // change: page retirement, limbo advance, limbo claim and replay's
+  // rebuild. Capacity maintenance above the FTL reads no other mutable FTL
+  // state, so a host that sees it unmoved can skip a maintenance run.
+  uint64_t capacity_version() const { return capacity_version_; }
 
   // Wear forecast: capacity (oPages) on in-service pages predicted to leave
   // their current tiredness level within the next `pec_horizon_fraction` of
@@ -530,6 +547,7 @@ class Ftl {
   std::vector<uint64_t> limbo_counts_;             // per level
   std::vector<std::vector<FPageIndex>> limbo_pages_;  // per level, lazy
   uint64_t usable_opages_ = 0;
+  uint64_t capacity_version_ = 0;
   uint64_t dead_fpages_ = 0;
   uint64_t retired_blocks_ = 0;
 

@@ -18,10 +18,18 @@
 //    description of current state (one kMap per mapped lpo, one kPageState
 //    per non-pristine page, three records per mDisk ever created) and the
 //    result is fully synced — compaction is itself a durability barrier.
+//
+// Storage: records sit in a std::deque, i.e. in fixed-size blocks. An append
+// never copies the journal, and a compaction frees the blocks past the
+// compacted snapshot instead of keeping (or regrowing) one buffer sized for
+// the largest journal seen. Every device carries a journal, so this is most
+// of a fleet's resident memory.
 #ifndef SALAMANDER_FTL_JOURNAL_H_
 #define SALAMANDER_FTL_JOURNAL_H_
 
 #include <cstdint>
+#include <deque>
+#include <utility>
 #include <vector>
 
 namespace salamander {
@@ -49,6 +57,8 @@ struct JournalRecord {
   uint64_t b = 0;
   uint64_t c = 0;
   uint64_t d = 0;
+
+  bool operator==(const JournalRecord&) const = default;
 };
 
 class FtlJournal {
@@ -81,13 +91,14 @@ class FtlJournal {
   }
 
   // Replaces the contents with a compacted snapshot; the result is durable.
-  void ReplaceWith(std::vector<JournalRecord> compacted) {
+  // The previous records' storage is released.
+  void ReplaceWith(std::deque<JournalRecord> compacted) {
     records_ = std::move(compacted);
     synced_count_ = records_.size();
     ++compactions_;
   }
 
-  const std::vector<JournalRecord>& records() const { return records_; }
+  const std::deque<JournalRecord>& records() const { return records_; }
   uint64_t size() const { return records_.size(); }
   uint64_t synced_count() const { return synced_count_; }
   uint64_t unsynced() const { return records_.size() - synced_count_; }
@@ -101,7 +112,7 @@ class FtlJournal {
 
  private:
   uint64_t capacity_;
-  std::vector<JournalRecord> records_;
+  std::deque<JournalRecord> records_;
   uint64_t synced_count_ = 0;
   uint64_t appends_ = 0;
   uint64_t syncs_ = 0;

@@ -5,9 +5,30 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "workload/generators.h"
-
 namespace salamander {
+namespace {
+
+// Dying beats silently aging a device with a nonsense workload: a
+// zipfian_fraction of 1.3 would quietly clamp inside Rng::Bernoulli and skew
+// every lifetime figure downstream. Runs before any member is built from the
+// config.
+const AgingConfig& ValidAgingConfigOrDie(const AgingConfig& config) {
+  Status status = ValidateAgingConfig(config);
+  if (!status.ok()) {
+    std::fprintf(stderr, "AgingDriver: invalid config: %s\n",
+                 status.message().c_str());
+    std::abort();
+  }
+  return config;
+}
+
+uint64_t ZipfSpace(const SsdDevice* device) {
+  assert(device != nullptr);
+  const uint64_t msize = device->msize_opages();
+  return msize == 0 ? 1 : msize;
+}
+
+}  // namespace
 
 Status ValidateAgingConfig(const AgingConfig& config) {
   if (!std::isfinite(config.zipfian_fraction) ||
@@ -75,17 +96,10 @@ void LiveSetTracker::BootstrapFromDevice(const SsdDevice& device) {
 
 AgingDriver::AgingDriver(SsdDevice* device, uint64_t seed,
                          const AgingConfig& config)
-    : device_(device), rng_(seed), config_(config) {
-  assert(device_ != nullptr);
-  Status status = ValidateAgingConfig(config_);
-  if (!status.ok()) {
-    // Dying beats silently aging a device with a nonsense workload: a
-    // zipfian_fraction of 1.3 would quietly clamp inside Rng::Bernoulli and
-    // skew every lifetime figure downstream.
-    std::fprintf(stderr, "AgingDriver: invalid config: %s\n",
-                 status.message().c_str());
-    std::abort();
-  }
+    : device_(device),
+      rng_(seed),
+      config_(ValidAgingConfigOrDie(config)),
+      zipf_(ZipfSpace(device), config_.zipfian_theta) {
   tracker_.Apply(device_->TakeEvents());  // any pending events first
   tracker_.BootstrapFromDevice(*device_);  // then the current live set
 }
@@ -93,7 +107,6 @@ AgingDriver::AgingDriver(SsdDevice* device, uint64_t seed,
 AgingResult AgingDriver::WriteOPages(uint64_t opages) {
   AgingResult result;
   const uint64_t msize = device_->msize_opages();
-  ZipfianGenerator zipf(msize == 0 ? 1 : msize, config_.zipfian_theta);
   // A real host declares a device dead after persistent errors; this also
   // guarantees the driver terminates if a device wedges without bricking.
   constexpr uint64_t kMaxConsecutiveErrors = 1000;
@@ -107,7 +120,7 @@ AgingResult AgingDriver::WriteOPages(uint64_t opages) {
     uint64_t lba;
     if (config_.working_set_fraction >= 1.0) {
       mdisk = tracker_.PickRandom(rng_);
-      lba = rng_.Bernoulli(config_.zipfian_fraction) ? zipf.Next(rng_)
+      lba = rng_.Bernoulli(config_.zipfian_fraction) ? zipf_.Next(rng_)
                                                      : rng_.UniformU64(msize);
     } else {
       // Restrict to a byte-level prefix of the live capacity (works for one

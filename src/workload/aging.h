@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "core/minidisk.h"
 #include "ssd/ssd_device.h"
+#include "workload/generators.h"
 
 namespace salamander {
 
@@ -90,6 +91,9 @@ class AgingDriver {
   SsdDevice* device_;
   Rng rng_;
   AgingConfig config_;
+  // Hot-LBA draws over one mDisk's LBAs. mSize is fixed per device, so one
+  // generator serves every WriteOPages call; construction draws nothing.
+  ZipfianGenerator zipf_;
   LiveSetTracker tracker_;
   uint64_t total_written_ = 0;
 };

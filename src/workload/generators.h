@@ -59,7 +59,7 @@ class ZipfianGenerator final : public AddressGenerator {
   // Zeta(n, theta) = sum_{i=1..n} i^-theta, memoized per (n, theta) behind a
   // mutex: the O(n) partial sum runs once per distinct geometry, so
   // constructing many same-shaped generators (one per tenant, one per
-  // AgingDriver::WriteOPages call) is O(1) after the first. The cached value
+  // AgingDriver) is O(1) after the first. The cached value
   // is a pure function of its key, so sharing it across threads cannot
   // perturb determinism.
   static double CachedZeta(uint64_t n, double theta);

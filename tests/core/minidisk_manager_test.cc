@@ -218,5 +218,43 @@ TEST(MinidiskManagerTest, CapacityDeclinesMonotonically) {
   EXPECT_LT(last_capacity, 12u * 64 * 4096);
 }
 
+// A write skips capacity maintenance when none of its inputs moved since
+// the last run. A page retirement between two host writes, outside the
+// manager's write path, moves the FTL's capacity version, so the next write
+// still runs Eq. 2 and sheds the deficit the retirement opened.
+TEST(MinidiskManagerTest, RetirementBetweenWritesStillShedsDeficit) {
+  Rig rig = MakeRig(/*nominal_pec=*/20);
+  // Format leaves no slack: 1024 usable == 12 x 64 logical + 256 reserve.
+  const uint64_t reserve = 256;
+  ASSERT_EQ(rig.ftl->usable_opages(), 12u * 64 + reserve);
+  ASSERT_TRUE(rig.manager->Write(0, 0).ok());
+  ASSERT_EQ(rig.manager->live_minidisks(), 12u);
+  rig.manager->TakeEvents();
+
+  // Wear the flash through the FTL directly until a page retires.
+  const uint64_t usable = rig.ftl->usable_opages();
+  const uint64_t first_lpo = rig.manager->minidisk(1).first_lpo;
+  Rng rng(9);
+  for (uint64_t i = 0; i < 2000000 && rig.ftl->usable_opages() == usable;
+       ++i) {
+    ASSERT_TRUE(rig.ftl->Write(first_lpo + rng.UniformU64(64)).ok());
+  }
+  ASSERT_LT(rig.ftl->usable_opages(), usable);
+  ASSERT_EQ(rig.manager->live_minidisks(), 12u);
+
+  const uint64_t version = rig.ftl->capacity_version();
+  ASSERT_TRUE(rig.manager->Write(0, 1).ok());
+  // The shed came from the earlier retirement: this write moved nothing.
+  EXPECT_EQ(rig.ftl->capacity_version(), version);
+  EXPECT_LT(rig.manager->live_minidisks(), 12u);
+  EXPECT_GE(rig.ftl->usable_opages(),
+            uint64_t{rig.manager->live_minidisks()} * 64 + reserve);
+  uint64_t decommissions = 0;
+  for (const MinidiskEvent& event : rig.manager->TakeEvents()) {
+    decommissions += event.type == MinidiskEventType::kDecommissioned;
+  }
+  EXPECT_EQ(decommissions, 12u - rig.manager->live_minidisks());
+}
+
 }  // namespace
 }  // namespace salamander

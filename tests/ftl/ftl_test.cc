@@ -411,5 +411,14 @@ TEST(FtlWearTest, PageGranularityOutlivesBlockGranularity) {
   EXPECT_GT(block_avg_writes, block_worst_writes);
 }
 
+// A flush batch holds at most kMaxOPagesPerFPage (16) oPages on the stack;
+// a geometry with larger fPages is refused in every build type.
+TEST(FtlDeathTest, RejectsFPagesLargerThanTheFlushBatch) {
+  FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/1000);
+  config.geometry.opages_per_fpage = 32;
+  config.ecc_geometry.opages_per_fpage = 32;
+  EXPECT_DEATH(Ftl{config}, "exceeds the limit");
+}
+
 }  // namespace
 }  // namespace salamander

@@ -6,11 +6,49 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <deque>
+#include <vector>
+
+#include "common/rng.h"
 #include "ftl/ftl.h"
 #include "tests/testing/device_builder.h"
 
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SALA_SANITIZER_HEAP 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SALA_SANITIZER_HEAP 1
+#endif
+
+#if defined(SALA_SANITIZER_HEAP)
+extern "C" size_t __sanitizer_get_current_allocated_bytes();
+#elif defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace salamander {
 namespace {
+
+// Bytes the process currently holds from its heap allocator, or 0 where
+// this platform offers no way to ask.
+size_t HeapBytesInUse() {
+#if defined(SALA_SANITIZER_HEAP)
+  return __sanitizer_get_current_allocated_bytes();
+#elif defined(__GLIBC__)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+std::vector<JournalRecord> Copy(const std::deque<JournalRecord>& records) {
+  return std::vector<JournalRecord>(records.begin(), records.end());
+}
 
 using testing_util::TestFtlConfig;
 using testing_util::TinyGeometry;
@@ -187,6 +225,98 @@ TEST(FtlJournalTest, ReplayedFtlStaysServiceable) {
     EXPECT_FALSE(ftl.LpoRolledBack(lpo)) << "lpo " << lpo;
   }
   EXPECT_TRUE(ftl.CheckInvariants().ok());
+}
+
+// The journal's record sequence, sync barrier and counters follow a plain
+// vector model exactly under a seeded mix of appends, syncs, tears and
+// compactions.
+TEST(FtlJournalTest, RecordsFollowVectorModelThroughAppendTearCompact) {
+  FtlJournal journal(/*capacity_records=*/1 << 20);
+  std::vector<JournalRecord> model;
+  uint64_t model_synced = 0;
+  Rng rng(17);
+  for (uint64_t step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.UniformU64(100);
+    if (op < 80) {
+      const JournalRecord record{
+          static_cast<JournalRecordType>(rng.UniformU64(9)), step,
+          rng.UniformU64(1000), step * 3, step ^ 0x55};
+      journal.Append(record);
+      model.push_back(record);
+    } else if (op < 90) {
+      journal.Sync();
+      model_synced = model.size();
+    } else if (op < 98) {
+      const uint64_t n = rng.UniformU64(12);
+      const uint64_t torn = std::min<uint64_t>(n, model.size() - model_synced);
+      const std::vector<JournalRecord> expected_tail(model.end() - torn,
+                                                     model.end());
+      EXPECT_EQ(journal.TearTail(n), expected_tail);
+      model.resize(model.size() - torn);
+    } else {
+      // Compaction keeps an arbitrary (here: every third) subset.
+      std::deque<JournalRecord> snapshot;
+      std::vector<JournalRecord> kept;
+      for (size_t i = 0; i < model.size(); i += 3) {
+        snapshot.push_back(model[i]);
+        kept.push_back(model[i]);
+      }
+      journal.ReplaceWith(std::move(snapshot));
+      model = kept;
+      model_synced = model.size();
+    }
+    ASSERT_EQ(journal.size(), model.size()) << "step " << step;
+    ASSERT_EQ(journal.synced_count(), model_synced) << "step " << step;
+  }
+  EXPECT_EQ(Copy(journal.records()), model);
+  EXPECT_GT(journal.compactions(), 0u);
+  EXPECT_GT(journal.torn_records(), 0u);
+}
+
+// Compaction hands the storage of the records it replaced back to the
+// allocator instead of keeping a buffer sized for the largest journal seen.
+TEST(FtlJournalTest, CompactionReleasesReplacedStorage) {
+  if (HeapBytesInUse() == 0) {
+    GTEST_SKIP() << "no heap statistics on this platform";
+  }
+  constexpr uint64_t kRecords = 100000;  // ~4 MB of 40-byte records
+  FtlJournal journal(kRecords);
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    journal.Append(JournalRecord{JournalRecordType::kMap, i, i, 0, 0});
+  }
+  journal.Sync();
+  const size_t full = HeapBytesInUse();
+  journal.ReplaceWith(std::deque<JournalRecord>(
+      10, JournalRecord{JournalRecordType::kExtend, 64, 0, 0, 0}));
+  const size_t compacted = HeapBytesInUse();
+  EXPECT_EQ(journal.size(), 10u);
+  EXPECT_EQ(journal.synced_count(), 10u);
+  ASSERT_LT(compacted, full);
+  EXPECT_GE(full - compacted, kRecords * sizeof(JournalRecord) * 9 / 10);
+}
+
+// Through the FTL: a power loss tears only the unsynced tail, replay reads
+// the journal without changing it, and compaction leaves a synced snapshot
+// that replays to the pre-loss mapping.
+TEST(FtlJournalTest, TearAndReplayLeaveDurableRecordsUnchanged) {
+  Ftl ftl = MakeJournaledFtl(/*logical_opages=*/64, /*journal_capacity=*/96);
+  for (uint64_t i = 0; i < 301; ++i) {
+    ASSERT_TRUE(ftl.Write(i % 40).ok());
+  }
+  ASSERT_GT(ftl.journal().compactions(), 0u);
+  const std::vector<JournalRecord> before = Copy(ftl.journal().records());
+  const uint64_t synced = ftl.journal().synced_count();
+  const uint64_t unsynced = ftl.journal().unsynced();
+  ASSERT_GT(unsynced, 0u);
+
+  ftl.SimulatePowerLoss(/*torn_records=*/unsynced + 5);  // capped at the tail
+  const std::vector<JournalRecord> durable(before.begin(),
+                                           before.begin() + synced);
+  EXPECT_EQ(Copy(ftl.journal().records()), durable);
+
+  ASSERT_TRUE(ftl.Replay().ok());
+  EXPECT_EQ(Copy(ftl.journal().records()), durable);
+  EXPECT_EQ(ftl.journal().synced_count(), synced);
 }
 
 }  // namespace
