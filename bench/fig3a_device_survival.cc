@@ -24,7 +24,7 @@
 namespace salamander {
 namespace {
 
-FleetConfig BenchFleet(SsdKind kind) {
+FleetConfig BenchFleet(SsdKind kind, uint32_t days) {
   FleetConfig config;
   config.kind = kind;
   config.devices = 16;
@@ -44,7 +44,7 @@ FleetConfig BenchFleet(SsdKind kind) {
   config.dwpd = 2.0;
   config.dwpd_sigma = 0.25;  // shard imbalance across devices
   config.afr = 0.02;
-  config.days = 300;
+  config.days = days;
   config.sample_every_days = 5;
   config.seed = 20250514;
   return config;
@@ -64,6 +64,14 @@ int main(int argc, char** argv) {
   // core".
   const unsigned threads = bench::ParseThreads(argc, argv);
   const std::string sched = bench::ParseSchedFlag(argc, argv);
+  // Simulated horizon; the table runs to it. The default is the figure's.
+  const uint64_t days_flag = bench::ParseU64Flag(argc, argv, "--days", 300);
+  if (days_flag == 0 || days_flag > 100000) {
+    std::fprintf(stderr, "error: --days expects 1..100000, got %llu\n",
+                 static_cast<unsigned long long>(days_flag));
+    return 2;
+  }
+  const uint32_t days = static_cast<uint32_t>(days_flag);
   const std::string metrics_out =
       bench::ParseStringFlag(argc, argv, "--metrics-out");
   const std::string trace_out =
@@ -78,7 +86,7 @@ int main(int argc, char** argv) {
   uint32_t lane = 0;
   for (SsdKind kind :
        {SsdKind::kBaseline, SsdKind::kShrinkS, SsdKind::kRegenS}) {
-    FleetConfig config = BenchFleet(kind);
+    FleetConfig config = BenchFleet(kind, days);
     config.threads = threads;
     config.scheduler = sched == "lockstep" ? FleetSchedulerMode::kLockstep
                                            : FleetSchedulerMode::kEventDriven;
@@ -107,7 +115,7 @@ int main(int argc, char** argv) {
     }
     return value;
   };
-  for (uint32_t day = 0; day <= 300; day += 5) {
+  for (uint32_t day = 0; day <= days; day += 5) {
     std::printf("%u\t%u\t%u\t%u\n", day,
                 value_at(runs[SsdKind::kBaseline], day),
                 value_at(runs[SsdKind::kShrinkS], day),

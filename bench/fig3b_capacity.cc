@@ -20,7 +20,7 @@
 namespace salamander {
 namespace {
 
-FleetConfig BenchFleet(SsdKind kind) {
+FleetConfig BenchFleet(SsdKind kind, uint32_t days) {
   FleetConfig config;
   config.kind = kind;
   config.devices = 16;
@@ -40,7 +40,7 @@ FleetConfig BenchFleet(SsdKind kind) {
   config.dwpd = 2.0;
   config.dwpd_sigma = 0.25;  // shard imbalance across devices
   config.afr = 0.02;
-  config.days = 300;
+  config.days = days;
   config.sample_every_days = 5;
   config.seed = 20250514;  // same batch as fig3a
   return config;
@@ -57,6 +57,14 @@ int main(int argc, char** argv) {
       "gradually and retains capacity longer");
   const unsigned threads = bench::ParseThreads(argc, argv);
   const std::string sched = bench::ParseSchedFlag(argc, argv);
+  // Simulated horizon; the table runs to it. The default is the figure's.
+  const uint64_t days_flag = bench::ParseU64Flag(argc, argv, "--days", 300);
+  if (days_flag == 0 || days_flag > 100000) {
+    std::fprintf(stderr, "error: --days expects 1..100000, got %llu\n",
+                 static_cast<unsigned long long>(days_flag));
+    return 2;
+  }
+  const uint32_t days = static_cast<uint32_t>(days_flag);
   const std::string metrics_out =
       bench::ParseStringFlag(argc, argv, "--metrics-out");
   const std::string trace_out =
@@ -73,7 +81,7 @@ int main(int argc, char** argv) {
   uint32_t lane = 0;
   for (SsdKind kind :
        {SsdKind::kBaseline, SsdKind::kShrinkS, SsdKind::kRegenS}) {
-    FleetConfig config = BenchFleet(kind);
+    FleetConfig config = BenchFleet(kind, days);
     config.threads = threads;
     config.scheduler = sched == "lockstep" ? FleetSchedulerMode::kLockstep
                                            : FleetSchedulerMode::kEventDriven;
@@ -104,7 +112,7 @@ int main(int argc, char** argv) {
     }
     return ToGiB(static_cast<uint64_t>(value));
   };
-  for (uint32_t day = 0; day <= 300; day += 5) {
+  for (uint32_t day = 0; day <= days; day += 5) {
     std::printf("%u\t%.3f\t%.3f\t%.3f\n", day,
                 value_at(SsdKind::kBaseline, day),
                 value_at(SsdKind::kShrinkS, day),
