@@ -95,6 +95,11 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
       slot.faults = std::make_shared<FaultInjector>(faults, i);
       ssd_config.faults = slot.faults;
     }
+    // Only the injector and rack power-loss events crash a fleet device, so
+    // a device with neither never reads its journal's records back: it
+    // keeps the journal's position only (see ftl/journal.h).
+    ssd_config.ftl.crash_journal =
+        slot.faults != nullptr || domain.rack_events_enabled();
     slot.device = std::make_unique<SsdDevice>(config_.kind, ssd_config);
     AgingConfig aging;
     if (config_.traffic.enabled()) {

@@ -328,6 +328,10 @@ class FleetSim {
   // event-driven equivalence gate diffs these per device.
   uint64_t DeviceDigest(uint32_t device) const;
   std::vector<uint64_t> DeviceDigests() const;
+  // Read-only view of one device (introspection for tests).
+  const SsdDevice& device(uint32_t index) const {
+    return *slots_[index].device;
+  }
 
   // Scrapes fleet-level instruments into "<prefix>fleet.*" and every
   // device's "<prefix>ssd.*"/"<prefix>ftl.*"/"<prefix>flash.*" subtree

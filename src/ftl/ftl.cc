@@ -78,7 +78,7 @@ Ftl::Ftl(const FtlConfig& config)
                                         config.latency, config.seed)),
       ladder_(SharedTirednessLadder(config.ecc_geometry)),
       rng_(config.seed ^ 0x9e3779b97f4a7c15ULL),
-      journal_(JournalCapacity(config)) {
+      journal_(JournalCapacity(config), config.crash_journal) {
   assert(config_.geometry.Valid());
   assert(config_.geometry.opages_per_fpage ==
              config_.ecc_geometry.opages_per_fpage &&
@@ -619,7 +619,7 @@ Status Ftl::GarbageCollectOnce(SimDuration& latency) {
 
 Status Ftl::EraseAndRecycle(BlockIndex block, SimDuration& latency) {
   assert(block_valid_[block] == 0 && "erasing a block with valid data");
-  if (l2p_enabled() && UnsyncedTailHasMapFlush()) {
+  if (l2p_enabled() && journal_.unsynced_map_flushes() > 0) {
     // An unsynced kMapFlush can still be torn at power loss, rolling its map
     // page back to the *previous* flash image — which this erase might be
     // about to destroy. Make the newest image durable before any erase.
@@ -1130,16 +1130,6 @@ std::vector<uint64_t> Ftl::L2pDurableContent(uint64_t map_index) const {
   return content;
 }
 
-bool Ftl::UnsyncedTailHasMapFlush() const {
-  const std::deque<JournalRecord>& records = journal_.records();
-  for (uint64_t i = journal_.synced_count(); i < records.size(); ++i) {
-    if (records[i].type == JournalRecordType::kMapFlush) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Status Ftl::FlushMapPage(uint64_t map_index, SimDuration& latency) {
   // Write-ahead: every delta since this page's previous image must be
   // durable before the new image can supersede it — a torn kMapFlush then
@@ -1251,44 +1241,54 @@ void Ftl::JournalPageState(FPageIndex fpage) {
       static_cast<uint64_t>(page_state_[fpage]), page_level_[fpage], 0});
 }
 
-void Ftl::CompactJournal() {
-  std::deque<JournalRecord> out;
-  // mDisk lifecycle history, compacted to at most two records per mDisk ever
-  // created: the create, plus its terminal drain/drop if any. Creates appear
-  // in id order because ids are assigned sequentially.
-  struct MdiskHistory {
-    JournalRecord create;
-    bool draining = false;
-    bool dropped = false;
-    JournalRecord drop;
-  };
-  std::vector<MdiskHistory> history;
-  for (const JournalRecord& r : journal_.records()) {
-    switch (r.type) {
-      case JournalRecordType::kMdiskCreate:
-        assert(history.size() == r.a && "mDisk ids must be sequential");
-        history.push_back(MdiskHistory{r, false, false, JournalRecord{}});
-        break;
-      case JournalRecordType::kMdiskDrain:
-        history[r.a].draining = true;
-        break;
-      case JournalRecordType::kMdiskDrop:
-        history[r.a].dropped = true;
-        history[r.a].drop = r;
-        break;
-      default:
-        break;
-    }
+void Ftl::AppendJournalRecord(const JournalRecord& record) {
+  // Noted after the append: a compaction the append triggers snapshots the
+  // history as it stood before this record, as the record is not yet in it.
+  JournalAppend(record);
+  [[maybe_unused]] const bool in_sequence = NoteMdiskRecord(record);
+  assert(in_sequence && "mDisk ids must be sequential");
+}
+
+bool Ftl::NoteMdiskRecord(const JournalRecord& record) {
+  switch (record.type) {
+    case JournalRecordType::kMdiskCreate:
+      if (record.a != mdisk_history_.size()) {
+        return false;
+      }
+      mdisk_history_.push_back(MdiskHistory{record, false, false, {}});
+      return true;
+    case JournalRecordType::kMdiskDrain:
+      if (record.a >= mdisk_history_.size()) {
+        return false;
+      }
+      mdisk_history_[record.a].draining = true;
+      return true;
+    case JournalRecordType::kMdiskDrop:
+      if (record.a >= mdisk_history_.size()) {
+        return false;
+      }
+      mdisk_history_[record.a].dropped = true;
+      mdisk_history_[record.a].drop = record;
+      return true;
+    default:
+      return true;
   }
-  out.push_back(JournalRecord{JournalRecordType::kExtend, mapping_.size(), 0,
-                              0, 0});
-  for (const MdiskHistory& h : history) {
-    out.push_back(h.create);
+}
+
+void Ftl::CompactJournal() {
+  // One snapshot path for both journal modes: the sink stores the records
+  // or only counts them, so the position evolves identically.
+  FtlJournal::Snapshot out = journal_.NewSnapshot();
+  out.Add(JournalRecord{JournalRecordType::kExtend, mapping_.size(), 0, 0, 0});
+  // mDisk lifecycle, at most two records per mDisk ever created: the
+  // create, plus its terminal drain/drop if any.
+  for (const MdiskHistory& h : mdisk_history_) {
+    out.Add(h.create);
     if (h.dropped) {
-      out.push_back(h.drop);
+      out.Add(h.drop);
     } else if (h.draining) {
-      out.push_back(JournalRecord{JournalRecordType::kMdiskDrain, h.create.a,
-                                  0, 0, 0});
+      out.Add(JournalRecord{JournalRecordType::kMdiskDrain, h.create.a, 0, 0,
+                            0});
     }
   }
   // L2P snapshot. Buffered pages have no durable version by definition and
@@ -1297,8 +1297,7 @@ void Ftl::CompactJournal() {
     for (uint64_t lpo = 0; lpo < mapping_.size(); ++lpo) {
       const uint64_t entry = mapping_[lpo];
       if (entry != kUnmapped && !IsBuffered(entry)) {
-        out.push_back(
-            JournalRecord{JournalRecordType::kMap, lpo, entry, 0, 0});
+        out.Add(JournalRecord{JournalRecordType::kMap, lpo, entry, 0, 0});
       }
     }
   } else {
@@ -1307,8 +1306,8 @@ void Ftl::CompactJournal() {
     // durable mapping — exactly the shape Replay() consumes.
     for (uint64_t p = 0; p < map_slot_.size(); ++p) {
       if (map_slot_[p] != kUnmappedSlot) {
-        out.push_back(JournalRecord{JournalRecordType::kMapFlush, p,
-                                    map_slot_[p], 0, 0});
+        out.Add(JournalRecord{JournalRecordType::kMapFlush, p, map_slot_[p],
+                              0, 0});
       }
       const uint64_t first = p * l2p_entries_per_page_;
       const uint64_t last = std::min(first + l2p_entries_per_page_,
@@ -1325,10 +1324,9 @@ void Ftl::CompactJournal() {
           continue;
         }
         if (durable == kUnmapped) {
-          out.push_back(JournalRecord{JournalRecordType::kTrim, lpo, 0, 0, 0});
+          out.Add(JournalRecord{JournalRecordType::kTrim, lpo, 0, 0, 0});
         } else {
-          out.push_back(
-              JournalRecord{JournalRecordType::kMap, lpo, durable, 0, 0});
+          out.Add(JournalRecord{JournalRecordType::kMap, lpo, durable, 0, 0});
         }
       }
     }
@@ -1338,7 +1336,7 @@ void Ftl::CompactJournal() {
        ++fpage) {
     if (page_state_[fpage] != PageState::kInService ||
         page_level_[fpage] != 0) {
-      out.push_back(JournalRecord{
+      out.Add(JournalRecord{
           JournalRecordType::kPageState, fpage,
           static_cast<uint64_t>(page_state_[fpage]), page_level_[fpage], 0});
     }
@@ -1346,14 +1344,15 @@ void Ftl::CompactJournal() {
   for (BlockIndex block = 0; block < config_.geometry.total_blocks();
        ++block) {
     if (block_state_[block] == BlockState::kRetired) {
-      out.push_back(JournalRecord{JournalRecordType::kBlockRetire,
-                                  static_cast<uint64_t>(block), 0, 0, 0});
+      out.Add(JournalRecord{JournalRecordType::kBlockRetire,
+                            static_cast<uint64_t>(block), 0, 0, 0});
     }
   }
   journal_.ReplaceWith(std::move(out));
 }
 
 void Ftl::SimulatePowerLoss(uint64_t torn_records) {
+  journal_.RequireRecords("Ftl::SimulatePowerLoss");
   ++power_losses_;
   // The volatile write buffers are lost: every logical page whose newest
   // version was still buffered rolls back — to an older durable version if
@@ -1380,6 +1379,7 @@ void Ftl::SimulatePowerLoss(uint64_t torn_records) {
 }
 
 Status Ftl::Replay() {
+  journal_.RequireRecords("Ftl::Replay");
   ++journal_replays_;
   ++capacity_version_;  // usable capacity and limbo are rebuilt below
   const FlashGeometry& geometry = config_.geometry;
@@ -1394,6 +1394,8 @@ Status Ftl::Replay() {
   mapped_opages_ = 0;
   page_level_.assign(fpages, 0);
   page_state_.assign(fpages, PageState::kInService);
+  // A tear may have removed mDisk records: rebuild from the survivors.
+  mdisk_history_.clear();
   // Bounded L2P: remember the pre-crash flush slots (for the rebuilt-pages
   // stat), reset the slot table, and keep the image shadows — each surviving
   // kMapFlush restores its page's entries from the shadow, then the (always
@@ -1499,11 +1501,15 @@ Status Ftl::Replay() {
         break;
       }
       case JournalRecordType::kBlockRetire:
+        break;  // block states are re-derived below
       case JournalRecordType::kMdiskCreate:
       case JournalRecordType::kMdiskDrain:
       case JournalRecordType::kMdiskDrop:
-        // Block states are re-derived below; mDisk records belong to the
-        // minidisk layer's replay.
+        // The minidisk layer replays mDisk state; the FTL keeps only the
+        // history its compactions emit.
+        if (!NoteMdiskRecord(r)) {
+          return InternalError("Replay: mDisk record out of sequence");
+        }
         break;
     }
   }

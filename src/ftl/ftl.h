@@ -104,6 +104,12 @@ struct FtlConfig {
   // Auto-sync the journal once this many records are unsynced; the unsynced
   // tail is the bounded torn-write window at power loss.
   uint64_t journal_max_unsynced = 32;
+  // Store the journal's records (true) or only its position (false). Only a
+  // power loss reads records back, so a device that cannot lose power may
+  // skip them; its journal position, sync points, compactions and
+  // StateDigest are identical either way. With false, SimulatePowerLoss()
+  // and Replay() abort. See ftl/journal.h.
+  bool crash_journal = true;
 
   // ---- Bounded L2P map cache (DRAM-resident map window) ------------------
   // Maximum L2P entries resident in DRAM at once. 0 = legacy unbounded map
@@ -362,9 +368,7 @@ class Ftl {
   // Appends a record through the FTL's sync/compaction policy. Used by the
   // minidisk layer for mDisk lifecycle records; everything else is journaled
   // internally at the mutation sites.
-  void AppendJournalRecord(const JournalRecord& record) {
-    JournalAppend(record);
-  }
+  void AppendJournalRecord(const JournalRecord& record);
   // Explicit durability barrier (also taken on every host Flush()).
   void SyncJournal() { journal_.Sync(); }
   const FtlJournal& journal() const { return journal_; }
@@ -374,7 +378,8 @@ class Ftl {
   // and `torn_records` unsynced journal-tail records are discarded (never
   // crossing the sync barrier). Deterministic — performs no Rng draws; the
   // caller decides the torn count (e.g. FaultInjector::TornJournalRecords).
-  // The FTL must not serve I/O until Replay() rebuilds it.
+  // The FTL must not serve I/O until Replay() rebuilds it. Aborts when the
+  // journal keeps no records (FtlConfig::crash_journal is false).
   void SimulatePowerLoss(uint64_t torn_records);
 
   // Rebuilds the full FTL state from the journal and the surviving physical
@@ -383,7 +388,8 @@ class Ftl {
   // candidate list. Write frontiers restart empty; partially-programmed
   // ex-active blocks are sealed (NAND forbids resuming their program order).
   // Mappings whose backing slot was destroyed are discarded and flagged
-  // rolled back. Returns CheckInvariants() on the rebuilt state.
+  // rolled back. Returns CheckInvariants() on the rebuilt state. Aborts when
+  // the journal keeps no records.
   Status Replay();
 
   // True if the last acknowledged write (or trim) of `lpo` was lost to a
@@ -515,7 +521,6 @@ class Ftl {
   // its range; buffered entries read as unmapped. Canonical form: an
   // all-unmapped page returns an empty vector.
   std::vector<uint64_t> L2pDurableContent(uint64_t map_index) const;
-  bool UnsyncedTailHasMapFlush() const;
   void L2pLruRemove(uint64_t map_index);
   void L2pLruPushFront(uint64_t map_index);
   // Replay pass 1: overwrite a map page's entries from its DRAM image shadow
@@ -526,6 +531,9 @@ class Ftl {
   // Append with the auto-sync and at-capacity compaction policy applied.
   void JournalAppend(const JournalRecord& record);
   void JournalPageState(FPageIndex fpage);
+  // Folds an appended (or replayed) mDisk lifecycle record into
+  // mdisk_history_; false if it names an mDisk out of sequence.
+  bool NoteMdiskRecord(const JournalRecord& record);
   // Rewrites the journal as a minimal description of current state.
   void CompactJournal();
 
@@ -607,6 +615,16 @@ class Ftl {
 
   // --- crash-restart recovery ---
   FtlJournal journal_;
+  // mDisk lifecycle as the journal records it, kept incrementally so that
+  // compaction need not rescan the journal: per mDisk id (ids are
+  // sequential), its create record and terminal drain/drop, if any.
+  struct MdiskHistory {
+    JournalRecord create;
+    bool draining = false;
+    bool dropped = false;
+    JournalRecord drop;
+  };
+  std::vector<MdiskHistory> mdisk_history_;
   // Logical pages whose acknowledged content was lost at a power loss.
   std::unordered_set<uint64_t> rolled_back_;
   uint64_t journal_replays_ = 0;

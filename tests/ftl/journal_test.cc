@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -255,10 +256,10 @@ TEST(FtlJournalTest, RecordsFollowVectorModelThroughAppendTearCompact) {
       model.resize(model.size() - torn);
     } else {
       // Compaction keeps an arbitrary (here: every third) subset.
-      std::deque<JournalRecord> snapshot;
+      FtlJournal::Snapshot snapshot = journal.NewSnapshot();
       std::vector<JournalRecord> kept;
       for (size_t i = 0; i < model.size(); i += 3) {
-        snapshot.push_back(model[i]);
+        snapshot.Add(model[i]);
         kept.push_back(model[i]);
       }
       journal.ReplaceWith(std::move(snapshot));
@@ -286,8 +287,11 @@ TEST(FtlJournalTest, CompactionReleasesReplacedStorage) {
   }
   journal.Sync();
   const size_t full = HeapBytesInUse();
-  journal.ReplaceWith(std::deque<JournalRecord>(
-      10, JournalRecord{JournalRecordType::kExtend, 64, 0, 0, 0}));
+  FtlJournal::Snapshot snapshot = journal.NewSnapshot();
+  for (int i = 0; i < 10; ++i) {
+    snapshot.Add(JournalRecord{JournalRecordType::kExtend, 64, 0, 0, 0});
+  }
+  journal.ReplaceWith(std::move(snapshot));
   const size_t compacted = HeapBytesInUse();
   EXPECT_EQ(journal.size(), 10u);
   EXPECT_EQ(journal.synced_count(), 10u);
