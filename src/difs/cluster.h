@@ -37,7 +37,8 @@ using ChunkId = uint64_t;
 
 // Replication-specific config; the fields both schemes share (devices per
 // node, fill, seed, sched, placement & drain, maintenance interval, faults,
-// suspect windows) come from ClusterConfig.
+// suspect windows) come from ClusterConfig. Bootstrap (ClusterCore) creates
+// chunks up to the fill fraction and writes every LBA of every replica.
 struct DifsConfig : ClusterConfig {
   uint32_t nodes = 6;
   uint32_t replication = 3;
@@ -74,24 +75,9 @@ struct DifsStats : ClusterStats {
   uint64_t recovery_opage_reads = 0;   // reads from survivor replicas
   uint64_t replicas_recovered = 0;     // successful re-replications
   uint64_t replicas_lost = 0;          // replica failures observed
-  // Replicas that were lost while STILL draining (forced drain finish or a
-  // brick during the grace window) — each is a failure the grace period was
-  // supposed to prevent.
-  uint64_t drain_window_losses = 0;
   uint64_t chunks_lost = 0;            // all replicas gone: data loss
   uint64_t recovery_deferred = 0;      // no eligible target at the time
-  uint64_t uncorrectable_reads = 0;    // device-level kDataLoss on reads
   uint64_t scrub_repairs = 0;          // pages rewritten after kDataLoss
-  // Largest amount of recovery I/O performed in one event wave (one
-  // ProcessEvents call) — the burstiness contrast of Fig. 1 / §4.3: a
-  // whole-device failure forces one huge wave, mDisk failures many tiny ones.
-  uint64_t max_wave_recovery_opages = 0;
-  uint64_t recovery_waves = 0;         // waves with any recovery I/O
-
-  // ---- Robustness counters -------------------------------------------------
-  uint64_t transient_retries = 0;      // kUnavailable ops retried
-  uint64_t transient_giveups = 0;      // ops still kUnavailable after retries
-  uint64_t backoff_ns = 0;             // simulated backoff time accumulated
 
   // ---- End-to-end integrity & scrub ---------------------------------------
   // Corrupt replica NOT retired because it was the chunk's last readable
@@ -118,58 +104,15 @@ struct DifsStats : ClusterStats {
   uint64_t recovery_bytes() const { return recovery_opage_writes * 4096; }
 };
 
-// One replica's location: a slot within an mDisk of a device.
-struct ReplicaLocation {
-  uint32_t device = 0;  // global device index
-  MinidiskId mdisk = 0;
-  uint32_t slot = 0;    // chunk slot within the mDisk
-  bool live = false;
-  // The mDisk is draining (grace-period decommissioning): still readable,
-  // no longer counted toward the replication target.
-  bool draining = false;
-  // Chunk generation last successfully written to this replica. A replica on
-  // a device that went dark misses foreground writes; after the device
-  // returns, generation != chunk.generation marks the replica stale.
-  uint64_t generation = 0;
-};
-
-struct Chunk {
-  ChunkId id = 0;
-  std::vector<ReplicaLocation> replicas;
-  bool lost = false;
-  // End-to-end integrity metadata: checksum stamped over the chunk's logical
-  // contents (id + write generation) at bootstrap and restamped on every
-  // foreground write; recovery copies it verbatim with the data.
-  uint64_t checksum = 0;
-  uint64_t generation = 0;
-
-  // Replicas counting toward the replication factor (live, not draining).
-  uint32_t live_replicas() const {
-    uint32_t n = 0;
-    for (const ReplicaLocation& r : replicas) {
-      n += (r.live && !r.draining) ? 1 : 0;
-    }
-    return n;
-  }
-  // Replicas the data can still be read from (includes draining ones).
-  uint32_t readable_replicas() const {
-    uint32_t n = 0;
-    for (const ReplicaLocation& r : replicas) {
-      n += r.live ? 1 : 0;
-    }
-    return n;
-  }
-};
+// A chunk is a group of R replicas: RS(1, R-1) in the core's terms.
+using ReplicaLocation = UnitLocation;
+using Chunk = UnitGroup;
 
 class DifsCluster final : public ClusterCore {
  public:
   // `device_factory(global_index)` builds each device; indices are assigned
   // node-major (device i lives on node i / devices_per_node).
   DifsCluster(const DifsConfig& config, const DeviceFactory& device_factory);
-
-  // Creates chunks up to the configured fill fraction, places replicas on
-  // distinct nodes, and writes every LBA of every replica (initial load).
-  Status Bootstrap();
 
   // Issues `opage_writes` foreground writes: each picks a random chunk and
   // offset and writes it through all live replicas (one logical write = R
@@ -207,7 +150,7 @@ class DifsCluster final : public ClusterCore {
   // total_chunks() * chunk_opages().
   uint64_t chunk_opages() const { return config_.chunk_opages; }
   uint64_t logical_opages() const {
-    return chunks_.size() * config_.chunk_opages;
+    return groups_.size() * config_.chunk_opages;
   }
 
   // Background scrub: walks up to `opage_budget` replica oPages behind a
@@ -217,23 +160,16 @@ class DifsCluster final : public ClusterCore {
   // actually read. A zero budget is a no-op.
   uint64_t ScrubStep(uint64_t opage_budget);
 
-  // Drains device events and runs the recovery scheduler (also invoked
-  // internally by StepWrites/StepReads); accounts each recovery wave.
-  void ProcessEvents() override;
-
-  // The core's slot-map checks plus the replication ones: draining flags and
-  // draining_pending coherence, replication bounds, and lost <-> unreadable
-  // consistency.
-  Status CheckInvariants() const override;
-
   // ---- Introspection -----------------------------------------------------
 
   const DifsStats& stats() const { return stats_; }
-  uint64_t total_chunks() const { return chunks_.size(); }
-  uint64_t chunks_fully_replicated() const;
-  uint64_t chunks_under_replicated() const;
+  uint64_t total_chunks() const { return groups_.size(); }
+  uint64_t chunks_fully_replicated() const { return groups_at_full_width(); }
+  uint64_t chunks_under_replicated() const {
+    return groups_below_full_width();
+  }
   uint64_t chunks_lost() const { return stats_.chunks_lost; }
-  const Chunk& chunk(ChunkId id) const { return chunks_[id]; }
+  const Chunk& chunk(ChunkId id) const { return groups_[id]; }
   // Chunks parked until placement capacity appears (recovery deferred).
   uint64_t chunks_waiting_capacity() const { return waiting_capacity_.size(); }
   uint64_t pending_recovery_backlog() const {
@@ -257,62 +193,15 @@ class DifsCluster final : public ClusterCore {
   const ClusterConfig& shared_config() const override { return config_; }
   ClusterStats& shared_stats() override { return stats_; }
   const ClusterStats& shared_stats() const override { return stats_; }
-  void LoseUnit(uint32_t device_index, MinidiskId mdisk, uint32_t slot,
-                int64_t ref) override;
+  SchemeCounters scheme_counters() override;
   // Grace window: replicas on a draining mDisk stay readable and are
   // re-replicated first; the drain is acked once the last one is released.
   void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk) override;
-  // One pass over the pending-recovery queue; returns how many replicas were
-  // successfully re-created. While the cluster is in brownout the pass is
-  // deferred (counted) unless ForceReconcile is driving convergence.
-  uint64_t RunRepairPass() override;
-  // Walks chunks in id order and moves live replicas off flagged devices.
-  void MigrateOffFlaggedDevices() override;
-  // Fresh: the replica's generation matches the chunk's and no LBA rolled
-  // back. Stale replicas are pruned and re-replicated.
-  void ReconcileReturnedUnit(uint32_t device_index, MinidiskId mdisk,
-                             uint32_t slot, int64_t ref) override;
-  // AckDrain with the transient retry every device op gets.
-  Status DeliverAckDrain(uint32_t device_index, MinidiskId mdisk) override;
-  uint64_t unit_groups() const override { return chunks_.size(); }
-  uint64_t GroupOfRef(int64_t ref) const override {
-    return static_cast<uint64_t>(ref);
-  }
-  void AppendLiveUnits(uint64_t group,
-                       std::vector<LiveUnit>* out) const override;
+  // Copies the chunk from one survivor: a non-draining replica when one is
+  // reachable (guaranteed fresh), else a draining one — the §4.3 grace
+  // window exists precisely so this fallback is available.
+  bool RepairOneUnit(uint64_t chunk_id) override;
 
-  // After `chunk` reached full replication, releases its draining replicas
-  // and acks drains whose last pending chunk this was.
-  void ReleaseDrainingReplicas(Chunk& chunk);
-  // One slot of draining mDisk `mdisk` no longer holds pending data:
-  // decrements its draining_pending count and, at zero, forgets the mDisk
-  // and acks the drain.
-  void ReleaseDrainingSlot(uint32_t device_index, MinidiskId mdisk);
-  // Attempts to restore one missing replica of `chunk_id`. Returns true on
-  // success, false if no eligible target or no live source exists.
-  bool RecoverOneReplica(ChunkId chunk_id);
-  // Releases a slot claimed for an in-flight copy (recovery or drain
-  // migration) that aborted. Drain-aware: if the target mDisk started
-  // draining while the copy was in flight, the claim was counted in
-  // draining_pending (HandleMdiskDraining cannot tell a claim from a placed
-  // replica), so the slot is released as drained — never as new free
-  // capacity — with the pending count decremented and the drain acked when
-  // this was its last pending slot.
-  void ReleaseClaimedSlot(uint32_t device_index, MinidiskId mdisk,
-                          uint32_t slot, ChunkId chunk_id);
-  // Moves one live replica off a flagged device onto a PickTarget-chosen
-  // slot (real read + writes, drain_* accounted, admission-controlled under
-  // OpClass::kRecovery). Returns false when parked (no target, shed, or the
-  // copy aborted) — the next tick retries.
-  bool MigrateReplicaOff(Chunk& chunk, ReplicaLocation& replica);
-  // Writes one replica oPage; on success returns the device write latency.
-  StatusOr<SimDuration> WriteReplica(ReplicaLocation& replica,
-                                     uint64_t offset);
-  // Shared body of StepWrites and WriteChunkAt: stamps the new generation
-  // and writes every live replica. kDataLoss when the chunk is lost,
-  // kUnavailable when admission control sheds the whole op (queueing only;
-  // no replica is touched, so none goes stale). Draws no RNG values.
-  Status WriteChunkBody(Chunk& chunk, uint64_t offset, SimDuration* cost_ns);
   // Shared body of StepReads and ReadChunkAt. Preserves the legacy RNG draw
   // order exactly: candidates -> live_index -> offset — when `offset_ptr` is
   // null the offset is drawn from the cluster RNG *after* the replica pick,
@@ -320,56 +209,11 @@ class DifsCluster final : public ClusterCore {
   Status ReadChunkImpl(ChunkId chunk_id, const uint64_t* offset_ptr,
                        SimDuration* cost_ns);
 
-  // Retires a corrupt replica: frees (or drain-releases) its slot, marks it
-  // dead, and queues the chunk for re-replication unless `enqueue` is false
-  // (recovery already has it in hand). Refuses to retire the chunk's last
-  // readable copy — corrupt data beats no data — returning false and
-  // counting integrity_retained_last_copies instead.
-  bool MarkReplicaBad(Chunk& chunk, ReplicaLocation& replica, bool enqueue);
-  // Drops a live replica: frees (or drain-releases) its slot, marks it dead,
-  // and queues the chunk for re-replication when `enqueue`.
-  void RetireReplica(Chunk& chunk, ReplicaLocation& replica, bool enqueue);
-
-  // Admission fan-out for one foreground chunk write: every device the
-  // fan-out will touch must admit, or the whole op sheds (avoids partial
-  // replica staleness). `*extra_ns` receives the parallel admission
-  // overhead — max over target devices of wait + shed-retry backoff.
-  bool AdmitForegroundWrite(const Chunk& chunk, uint64_t* extra_ns);
-
-  static StatusCode ResultCode(const Status& status) { return status.code(); }
-  template <typename T>
-  static StatusCode ResultCode(const StatusOr<T>& result) {
-    return result.status().code();
-  }
-  // Runs `op`, retrying kUnavailable up to max_transient_retries times with
-  // exponential (simulated-time) backoff.
-  template <typename Op>
-  auto WithTransientRetry(Op op) -> decltype(op()) {
-    auto result = op();
-    for (uint32_t retry = 0;
-         ResultCode(result) == StatusCode::kUnavailable &&
-         retry < config_.max_transient_retries;
-         ++retry) {
-      ++stats_.transient_retries;
-      // Retry r waits base << r, with the shift capped (saturating) so high
-      // max_transient_retries configs cannot wrap the accumulated backoff.
-      stats_.backoff_ns +=
-          CappedBackoffNs(config_.transient_backoff_base_ns, retry,
-                          config_.transient_backoff_max_shift);
-      result = op();
-    }
-    if (ResultCode(result) == StatusCode::kUnavailable) {
-      ++stats_.transient_giveups;
-    }
-    return result;
-  }
-
   const DifsConfig config_;
   DifsStats stats_;
   // Scrub position: major = chunk id, minor = replica * chunk_opages +
   // offset (flattened so the two-level cursor covers all three axes).
   ScrubCursor scrub_cursor_;
-  std::vector<Chunk> chunks_;
 };
 
 }  // namespace salamander

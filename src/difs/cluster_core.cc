@@ -8,15 +8,21 @@
 
 namespace salamander {
 
-ClusterCore::ClusterCore(const SchemeTraits& traits, uint64_t seed)
+ClusterCore::ClusterCore(const SchemeTraits& traits, uint32_t k,
+                         uint32_t width, uint64_t seed)
     : rng_(seed ^ traits.rng_salt),
       codec_(seed ^ 0xc8ec5a17c8ec5a17ULL),
-      traits_(traits) {}
+      k_(k),
+      width_(width),
+      traits_(traits) {
+  assert(k_ >= 1 && width_ >= k_);
+}
 
 void ClusterCore::SetUpDevices(uint32_t nodes, uint64_t unit_opages,
                                const DeviceFactory& device_factory) {
   const ClusterConfig& config = shared_config();
   nodes_ = nodes;
+  unit_opages_ = unit_opages;
   devices_per_node_ = config.devices_per_node;
   nodes_per_rack_ = config.nodes_per_rack;
   queueing_ = config.sched.enabled();
@@ -68,7 +74,8 @@ void ClusterCore::SetUpDevices(uint32_t nodes, uint64_t unit_opages,
 // Event handling
 // ---------------------------------------------------------------------------
 
-void ClusterCore::PumpEvents() {
+void ClusterCore::ProcessEvents() {
+  const uint64_t wave_start = scheme_counters().repair_writes;
   for (;;) {
     size_t events = 0;
     for (uint32_t i = 0; i < devices_.size(); ++i) {
@@ -81,8 +88,21 @@ void ClusterCore::PumpEvents() {
     const uint64_t repaired = RunRepairPass();
     units_repaired_ += repaired;
     if (repaired == 0) {
-      return;
+      break;
     }
+  }
+  const uint64_t wave = scheme_counters().repair_writes - wave_start;
+  if (wave > 0) {
+    ClusterStats& stats = shared_stats();
+    ++stats.recovery_waves;
+    stats.max_wave_recovery_opages =
+        std::max(stats.max_wave_recovery_opages, wave);
+    if (trace_ != nullptr) {
+      TraceInstant("recovery_wave");
+      trace_->CounterSample("recovery_wave_opages", trace_time_us_,
+                            static_cast<double>(wave), trace_tid_);
+    }
+    DebugCheckInvariants();
   }
 }
 
@@ -157,7 +177,7 @@ void ClusterCore::HandleMdiskLoss(uint32_t device_index, MinidiskId mdisk) {
     if (ref == kFreeSlot) {
       --state.free_slot_count;
     } else if (ref != kUnavailableSlot) {  // draining: empty or released
-      LoseUnit(device_index, mdisk, slot, ref);
+      LoseUnit(device_index, mdisk, slot, static_cast<uint64_t>(ref));
     }
   }
   state.draining_pending.erase(mdisk);
@@ -188,8 +208,7 @@ std::vector<MinidiskId> ClusterCore::TrackedMdisks(
 // ---------------------------------------------------------------------------
 
 bool ClusterCore::PickTarget(const std::vector<uint32_t>& exclude_nodes,
-                             uint32_t* device_out, MinidiskId* mdisk_out,
-                             uint32_t* slot_out) {
+                             SlotRef* out) {
   ClusterStats& stats = shared_stats();
   // Random start, linear probe: keeps placement spread without a full scan.
   // The outer domain pass runs only for a constraining placement policy:
@@ -231,9 +250,8 @@ bool ClusterCore::PickTarget(const std::vector<uint32_t>& exclude_nodes,
         for (auto& [mdisk, slots] : state.slots) {
           for (uint32_t slot = 0; slot < slots.size(); ++slot) {
             if (slots[slot] == kFreeSlot) {
-              *device_out = device_index;
-              *mdisk_out = mdisk;
-              *slot_out = slot;
+              *out = SlotRef{.device = device_index, .mdisk = mdisk,
+                             .slot = slot};
               return true;
             }
           }
@@ -252,22 +270,473 @@ bool ClusterCore::PickTarget(const std::vector<uint32_t>& exclude_nodes,
   return false;
 }
 
-void ClusterCore::ClaimSlot(uint32_t device_index, MinidiskId mdisk,
-                            uint32_t slot, int64_t ref) {
-  DeviceState& state = devices_[device_index];
-  state.slots[mdisk][slot] = ref;
+void ClusterCore::ClaimSlot(const SlotRef& target, uint64_t group) {
+  DeviceState& state = devices_[target.device];
+  state.slots[target.mdisk][target.slot] = static_cast<int64_t>(group);
   --state.free_slot_count;
 }
 
-void ClusterCore::FreeSlot(uint32_t device_index, MinidiskId mdisk,
-                           uint32_t slot, int64_t ref) {
+void ClusterCore::ReleaseSlot(uint32_t device_index, MinidiskId mdisk,
+                              uint32_t slot, uint64_t group) {
   DeviceState& state = devices_[device_index];
   const auto it = state.slots.find(mdisk);
-  if (it != state.slots.end() && slot < it->second.size() &&
-      it->second[slot] == ref) {
+  if (it == state.slots.end() ||
+      it->second[slot] != static_cast<int64_t>(group)) {
+    return;  // mDisk decommissioned meanwhile: HandleMdiskLoss dropped it
+  }
+  if (state.draining_pending.count(mdisk) == 0) {
     it->second[slot] = kFreeSlot;
     ++state.free_slot_count;
+    return;
   }
+  // The mDisk started draining while the slot was occupied (a copy's own
+  // wear can trigger the drain mid-flight): release it as a drained slot.
+  it->second[slot] = kUnavailableSlot;
+  ReleaseDrainingSlot(device_index, mdisk);
+}
+
+void ClusterCore::ReleaseDrainingSlot(uint32_t device_index,
+                                      MinidiskId mdisk) {
+  DeviceState& state = devices_[device_index];
+  auto pending_it = state.draining_pending.find(mdisk);
+  if (pending_it != state.draining_pending.end() &&
+      --pending_it->second == 0) {
+    state.draining_pending.erase(pending_it);
+    state.slots.erase(mdisk);
+    SendAckDrain(device_index, mdisk);
+  }
+}
+
+void ClusterCore::ReleaseDrainingUnits(UnitGroup& group) {
+  for (UnitLocation& unit : group.units) {
+    if (unit.live && unit.draining) {
+      unit.live = false;
+      ReleaseSlot(unit.device, unit.mdisk, unit.slot, group.id);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Groups and units: bootstrap, foreground writes, loss and retirement
+// ---------------------------------------------------------------------------
+
+Status ClusterCore::Bootstrap() {
+  if (bootstrapped_) {
+    return FailedPreconditionError("Bootstrap: already bootstrapped");
+  }
+  bootstrapped_ = true;
+  ClusterStats& stats = shared_stats();
+  const uint64_t target_groups = static_cast<uint64_t>(
+      static_cast<double>(free_slots()) * shared_config().fill_fraction /
+      width_);
+  groups_.reserve(target_groups);
+  for (uint64_t id = 0; id < target_groups; ++id) {
+    UnitGroup group;
+    group.id = id;
+    group.checksum = codec_.Stamp(id, group.generation);
+    std::vector<uint32_t> used_nodes;
+    for (uint32_t u = 0; u < width_; ++u) {
+      SlotRef target;
+      if (!PickTarget(used_nodes, &target)) {
+        // The cluster cannot hold another full-width group: roll back the
+        // partial placement and stop.
+        for (const UnitLocation& placed : group.units) {
+          ReleaseSlot(placed.device, placed.mdisk, placed.slot, id);
+        }
+        return OkStatus();
+      }
+      ClaimSlot(target, id);
+      used_nodes.push_back(node_of_device(target.device));
+      group.units.push_back(UnitLocation{.device = target.device,
+                                         .mdisk = target.mdisk,
+                                         .slot = target.slot,
+                                         .live = true});
+    }
+    groups_.push_back(std::move(group));
+    // Initial load: write every LBA of every unit. Failures are tolerated —
+    // if the load itself wears out an mDisk, the event wave below repairs
+    // the affected groups.
+    for (const UnitLocation& unit : groups_.back().units) {
+      for (uint64_t offset = 0; offset < unit_opages_; ++offset) {
+        if (WriteUnit(unit, offset).ok()) {
+          ++stats.foreground_device_writes;
+        }
+      }
+    }
+    ProcessEvents();
+  }
+  return OkStatus();
+}
+
+StatusOr<SimDuration> ClusterCore::WriteUnit(const UnitLocation& unit,
+                                             uint64_t offset) {
+  if (!unit.live || unit.draining) {
+    return FailedPreconditionError("unit not writable");
+  }
+  if (NodeOut(unit.device)) {
+    // Unreachable node: the write is skipped, not queued; the unit goes
+    // stale and resync-driven repair handles it if the mDisk dies out.
+    ++shared_stats().outage_write_skips;
+    return UnavailableError("WriteUnit: node under outage");
+  }
+  SsdDevice& device = *devices_[unit.device].device;
+  return WithTransientRetry([&] {
+    return device.Write(unit.mdisk, unit.slot * unit_opages_ + offset);
+  });
+}
+
+bool ClusterCore::AdmitWriteFanOut(const UnitGroup& group, uint32_t data_unit,
+                                   uint64_t* extra_ns) {
+  // The unit writes fan out in parallel, so the op's queue delay is the max
+  // across its target devices. Admission is all-or-nothing: the first
+  // refusal sheds the whole op before any unit is touched — a partial
+  // fan-out would leave stale replicas or parity out of sync with data.
+  uint64_t extra = 0;
+  bool admitted = true;
+  for (uint32_t u = data_unit; admitted && u < group.units.size();
+       u = NextWriteTarget(u, data_unit)) {
+    const UnitLocation& unit = group.units[u];
+    if (!unit.live || unit.draining || NodeOut(unit.device)) {
+      continue;  // WriteUnit refuses these targets anyway
+    }
+    const QueueAdmission admission =
+        Queue(unit.device)->Admit(OpClass::kForegroundWrite, sched_clock_ns_);
+    extra = std::max(extra, admission.wait_ns + admission.backoff_ns);
+    admitted = admission.admitted;
+  }
+  *extra_ns = extra;
+  return admitted;
+}
+
+Status ClusterCore::WriteGroup(UnitGroup& group, uint32_t data_unit,
+                               uint64_t offset, SimDuration* cost_ns) {
+  ClusterStats& stats = shared_stats();
+  uint64_t sched_extra_ns = 0;  // parallel admission wait + shed backoff
+  if (QueueingEnabled()) {
+    sched_clock_ns_ += shared_config().sched.arrival_interval_ns;
+    if (!AdmitWriteFanOut(group, data_unit, &sched_extra_ns)) {
+      // Shed whole: no unit was touched, so the group's generation,
+      // checksum and unit stamps all stay consistent.
+      return ShedForegroundOp(/*write=*/true, sched_extra_ns, sched_extra_ns,
+                              cost_ns, traits_.write_shed_message);
+    }
+  }
+  const uint64_t backoff_before = stats.backoff_ns;
+  SimDuration slowest = 0;
+  // The write changes the group's contents: restamp its checksum.
+  ++group.generation;
+  group.checksum = codec_.Stamp(group.id, group.generation);
+  for (uint32_t u = data_unit; u < group.units.size();
+       u = NextWriteTarget(u, data_unit)) {
+    UnitLocation& unit = group.units[u];
+    if (!unit.live) {
+      continue;
+    }
+    // Failures are tolerated: the unit's device just decommissioned or
+    // bricked and the event wave below repairs the group. A unit that
+    // misses the write keeps its old generation and is marked stale.
+    auto write = WriteUnit(unit, offset);
+    unit.stale = !write.ok();
+    if (!write.ok()) {
+      continue;
+    }
+    unit.generation = group.generation;
+    ++stats.foreground_device_writes;
+    if (QueueingEnabled()) {
+      Queue(unit.device)->Complete(OpClass::kForegroundWrite, write.value());
+    }
+    // The logical write completes when the slowest unit write does.
+    slowest = std::max(slowest, write.value());
+  }
+  const SimDuration total =
+      slowest + (stats.backoff_ns - backoff_before) + sched_extra_ns;
+  if (cost_ns != nullptr) {
+    *cost_ns = total;
+  }
+  stats.sched_wait_ns += sched_extra_ns;
+  RecordForegroundLatency(total);
+  ++scheme_counters().foreground_writes;
+  ProcessEvents();
+  MaybeRunMaintenance();
+  return OkStatus();
+}
+
+UnitLocation* ClusterCore::FindLiveUnit(UnitGroup& group,
+                                        uint32_t device_index,
+                                        MinidiskId mdisk, uint32_t slot) {
+  for (UnitLocation& unit : group.units) {
+    if (unit.live && unit.device == device_index && unit.mdisk == mdisk &&
+        unit.slot == slot) {
+      return &unit;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<uint32_t> ClusterCore::SpreadNodes(const UnitGroup& group) const {
+  // A unit on an out node still excludes its node (the data is there, just
+  // unreachable); a draining replica does not — it is about to vanish, so
+  // its node may host the replacement.
+  std::vector<uint32_t> nodes;
+  for (const UnitLocation& unit : group.units) {
+    if (unit.live && !unit.draining) {
+      nodes.push_back(node_of_device(unit.device));
+    }
+  }
+  return nodes;
+}
+
+void ClusterCore::LoseUnit(uint32_t device_index, MinidiskId mdisk,
+                           uint32_t slot, uint64_t group_id) {
+  UnitGroup& group = groups_[group_id];
+  SchemeCounters counters = scheme_counters();
+  if (UnitLocation* unit = FindLiveUnit(group, device_index, mdisk, slot)) {
+    unit->live = false;
+    ++counters.units_lost;
+    if (unit->draining) {
+      // The grace window closed (forced finish or brick) before this group
+      // was repaired off the draining mDisk.
+      ++shared_stats().drain_window_losses;
+    }
+  }
+  if (group.lost) {
+    return;
+  }
+  if (group.readable_units() < k_) {
+    group.lost = true;
+    ++counters.groups_lost;
+    SALA_LOG(kWarning) << traits_.group << " " << group.id << " "
+                       << traits_.lost_log;
+    TraceInstant(traits_.group_lost_event);
+  } else if (group.live_units() < width_) {
+    pending_repairs_.push_back(group.id);
+  }
+}
+
+bool ClusterCore::MarkUnitBad(UnitGroup& group, UnitLocation& unit,
+                              bool enqueue) {
+  if (!unit.live) {
+    return false;
+  }
+  if (!group.lost && group.readable_units() <= k_) {
+    ++scheme_counters().retained;
+    return false;
+  }
+  ++shared_stats().integrity_marked_bad;
+  TraceInstant(traits_.unit_bad_event);
+  RetireUnit(group, unit, enqueue);
+  return true;
+}
+
+void ClusterCore::RetireUnit(UnitGroup& group, UnitLocation& unit,
+                             bool enqueue) {
+  ReleaseSlot(unit.device, unit.mdisk, unit.slot, group.id);
+  unit.live = false;
+  ++scheme_counters().units_lost;
+  if (!group.lost && enqueue && group.live_units() < width_) {
+    pending_repairs_.push_back(group.id);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Repair and drain migration
+// ---------------------------------------------------------------------------
+
+uint64_t ClusterCore::RunRepairPass() {
+  SchemeCounters counters = scheme_counters();
+  if (brownout_ != nullptr && brownout_->active() && !reconcile_override_ &&
+      !pending_repairs_.empty()) {
+    // Brownout: foreground p99 is over the SLO, so background repair yields
+    // the spindle. The backlog stays queued and drains once a window
+    // recovers (or ForceReconcile demands convergence).
+    ++counters.brownout_deferrals;
+    return 0;
+  }
+  uint64_t repaired = 0;
+  // Process only the entries present at pass start; repairs can enqueue
+  // more (by wearing the target), which the caller's loop handles next pass.
+  std::vector<uint64_t> batch(pending_repairs_.begin(),
+                              pending_repairs_.end());
+  pending_repairs_.clear();
+  if (shared_config().criticality_ordered_recovery) {
+    // Repair-storm triage: groups closest to loss (fewest readable units,
+    // ties by id) get the pass's placement slots and queue room first.
+    // Criticality is snapshotted at batch start, and the sort is stable, so
+    // the ordering is fully deterministic. The SET of groups healed matches
+    // FIFO when capacity suffices, but individual placements may differ —
+    // repairs consume the shared placement draws in batch order.
+    std::stable_sort(batch.begin(), batch.end(), [&](uint64_t a, uint64_t b) {
+      const uint32_t ra = groups_[a].readable_units();
+      const uint32_t rb = groups_[b].readable_units();
+      if (ra != rb) {
+        return ra < rb;
+      }
+      return a < b;
+    });
+  }
+  for (const uint64_t id : batch) {
+    UnitGroup& group = groups_[id];
+    // Bring the group back to full width, one unit at a time.
+    while (!group.lost && group.live_units() < width_) {
+      const uint32_t live_before = group.live_units();
+      if (!RepairOneUnit(id)) {
+        break;
+      }
+      ++repaired;
+      if (group.live_units() <= live_before) {
+        // The repair succeeded but retired a corrupt source in the same
+        // call: net-zero progress. With every source failing its checksum
+        // (pathological blanket corruption) this would loop forever.
+        break;
+      }
+    }
+    if (!group.lost && group.live_units() < width_) {
+      // Park it until the placement landscape changes (ProcessEvents
+      // re-queues parked groups when new events arrive).
+      ++counters.repair_deferred;
+      waiting_capacity_.push_back(id);
+    }
+  }
+  return repaired;
+}
+
+bool ClusterCore::ReadCopySource(const UnitLocation& unit, uint64_t* reads) {
+  // Latency and traffic accounting only: the simulator carries no payload
+  // bytes, so the copy's content is tracked logically.
+  SsdDevice& device = *devices_[unit.device].device;
+  auto read = WithTransientRetry([&] {
+    return device.ReadRange(unit.mdisk, unit.slot * unit_opages_,
+                            unit_opages_);
+  });
+  if (!read.ok()) {
+    ++shared_stats().uncorrectable_reads;
+    return false;
+  }
+  *reads += unit_opages_;
+  CompleteRecoveryIo(unit.device, read.value().latency);
+  return true;
+}
+
+bool ClusterCore::WriteCopyTarget(const SlotRef& target, uint64_t group,
+                                  uint64_t* writes) {
+  // Claim the slot first so placements made while the copy's events are
+  // applied cannot double-book it.
+  ClaimSlot(target, group);
+  SsdDevice& device = *devices_[target.device].device;
+  const uint64_t base = target.slot * unit_opages_;
+  SimDuration copy_write_ns = 0;
+  for (uint64_t offset = 0; offset < unit_opages_; ++offset) {
+    auto write = WithTransientRetry(
+        [&] { return device.Write(target.mdisk, base + offset); });
+    if (!write.ok()) {
+      // Target died mid-copy (its own wear, or the write's wear): abandon.
+      // The events just surfaced may have decommissioned the mDisk (its
+      // slot map is gone) or started draining it (release as drained).
+      ApplyDeviceEvents(target.device);
+      ReleaseSlot(target.device, target.mdisk, target.slot, group);
+      return false;
+    }
+    copy_write_ns += write.value();
+    ++*writes;
+  }
+  // The whole copy occupies the target's queue as one recovery-class op.
+  CompleteRecoveryIo(target.device, copy_write_ns);
+  return true;
+}
+
+bool ClusterCore::RepairUnit(uint64_t group_id, const SlotRef& target,
+                             uint32_t unit_index) {
+  SchemeCounters counters = scheme_counters();
+  if (!WriteCopyTarget(target, group_id, &counters.repair_writes)) {
+    return false;
+  }
+  UnitGroup& group = groups_[group_id];
+  const UnitLocation unit{.device = target.device,
+                          .mdisk = target.mdisk,
+                          .slot = target.slot,
+                          .live = true,
+                          .generation = group.generation};
+  if (unit_index == kAppendUnit) {
+    // Dead records can never match a future event; prune them before
+    // adding the new one so they do not accumulate.
+    std::erase_if(group.units, [](const UnitLocation& u) { return !u.live; });
+    group.units.push_back(unit);
+  } else {
+    group.units[unit_index] = unit;
+  }
+  ++counters.units_repaired;
+  if (group.live_units() >= width_) {
+    // Full width again: draining copies are no longer needed.
+    ReleaseDrainingUnits(group);
+  }
+  // The copy itself wears the target device; surface any resulting events
+  // (possibly including loss of the unit just written).
+  ApplyDeviceEvents(target.device);
+  return true;
+}
+
+void ClusterCore::MigrateOffFlaggedDevices() {
+  // MigrateUnitOff repoints the record in place; a parked move retries next
+  // tick. Indices are re-checked every iteration because a migration's own
+  // wear events can reshape unit state under us.
+  ClusterStats& stats = shared_stats();
+  for (UnitGroup& group : groups_) {
+    if (group.lost) {
+      continue;
+    }
+    for (size_t u = 0; u < group.units.size(); ++u) {
+      const UnitLocation& unit = group.units[u];
+      if (!unit.live || unit.draining || !Evacuating(unit.device)) {
+        continue;
+      }
+      if (!MigrateUnitOff(group, group.units[u])) {
+        ++stats.drain_migrations_parked;
+      }
+    }
+  }
+}
+
+bool ClusterCore::MigrateUnitOff(UnitGroup& group, UnitLocation& unit) {
+  // Every node holding a spreading unit — including the source's — is
+  // excluded, so the move keeps the group node-disjoint and the placement
+  // policy sees the same used-node set a repair would.
+  SlotRef target;
+  if (!PickTarget(SpreadNodes(group), &target)) {
+    return false;
+  }
+  ClusterStats& stats = shared_stats();
+  SchemeCounters counters = scheme_counters();
+  if (!AdmitRecoveryIo(unit.device) || !AdmitRecoveryIo(target.device)) {
+    // Drain I/O rides the recovery class so the priority order and the shed
+    // ledger stay intact; the drain-specific sub-counter lets benches report
+    // proactive-vs-reactive pressure separately.
+    ++counters.repair_sheds;
+    ++stats.drain_sched_sheds;
+    return false;
+  }
+  if (!ReadCopySource(unit, &stats.drain_opage_reads)) {
+    return false;
+  }
+  if (ObserveCorruption(unit.device) > 0) {
+    // Copying would propagate corruption: hand the unit to the reactive
+    // read-repair path instead of migrating it.
+    MarkUnitBad(group, unit, /*enqueue=*/true);
+    return false;
+  }
+  if (!WriteCopyTarget(target, group.id, &stats.drain_opage_writes)) {
+    return false;
+  }
+  // Release the source slot and repoint the record in place. The migrated
+  // copy keeps its generation and staleness — resync still owns freshness.
+  ReleaseSlot(unit.device, unit.mdisk, unit.slot, group.id);
+  unit.device = target.device;
+  unit.mdisk = target.mdisk;
+  unit.slot = target.slot;
+  ++counters.units_migrated;
+  // The copy wears the target; surface any resulting events (`unit` must
+  // not be touched past this point — event handling can reshape the group).
+  ApplyDeviceEvents(target.device);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -289,18 +758,20 @@ void ClusterCore::CompleteRecoveryIo(uint32_t device_index,
 
 bool ClusterCore::SendAckDrain(uint32_t device_index, MinidiskId mdisk) {
   FaultInjector* faults = shared_config().faults.get();
+  ClusterStats& stats = shared_stats();
   if (NodeOut(device_index) ||
       (faults != nullptr && faults->LosesAckDrain())) {
     // The ack never reaches the device: its mDisk stays in kDraining limbo
     // until a later ResyncDevice notices and re-sends.
-    ++shared_stats().acks_lost;
+    ++stats.acks_lost;
     return false;
   }
-  return DeliverAckDrain(device_index, mdisk).ok();
-}
-
-Status ClusterCore::DeliverAckDrain(uint32_t device_index, MinidiskId mdisk) {
-  return devices_[device_index].device->AckDrain(mdisk);
+  SsdDevice& device = *devices_[device_index].device;
+  if (!WithTransientRetry([&] { return device.AckDrain(mdisk); }).ok()) {
+    return false;
+  }
+  ++stats.drains_acked;
+  return true;
 }
 
 uint64_t ClusterCore::ObserveCorruption(uint32_t device_index) {
@@ -498,11 +969,9 @@ uint64_t ClusterCore::ResyncDevice(uint32_t device_index) {
       if (mstate == MinidiskState::kLive) {
         HandleMdiskCreated(device_index, mdisk);
         ++repairs;
-      } else if (mstate == MinidiskState::kDraining) {
-        if (SendAckDrain(device_index, mdisk)) {
-          ++stats.drains_acked;
-          ++repairs;
-        }
+      } else if (mstate == MinidiskState::kDraining &&
+                 SendAckDrain(device_index, mdisk)) {
+        ++repairs;
       }
     }
   }
@@ -571,13 +1040,40 @@ void ClusterCore::ResolveSuspect(uint32_t device_index) {
       }
       const int64_t ref = it->second[slot];
       if (ref >= 0) {  // free or unavailable slots store nothing
-        ReconcileReturnedUnit(device_index, mdisk, slot, ref);
+        ReconcileReturnedUnit(device_index, mdisk, slot,
+                              static_cast<uint64_t>(ref));
       }
     }
   }
   // The device's remaining resync discrepancies (e.g. a drain it finished
   // while dark) go through the normal path now that it serves again.
   ResyncDevice(device_index);
+}
+
+void ClusterCore::ReconcileReturnedUnit(uint32_t device_index,
+                                        MinidiskId mdisk, uint32_t slot,
+                                        uint64_t group_id) {
+  // A unit is fresh iff it missed no write while dark (not stale) and the
+  // device reports no rolled-back page in its LBA range (its last pre-crash
+  // writes were made durable). Anything else is retired and repaired.
+  UnitGroup& group = groups_[group_id];
+  UnitLocation* unit = FindLiveUnit(group, device_index, mdisk, slot);
+  if (unit == nullptr) {
+    return;
+  }
+  SchemeCounters counters = scheme_counters();
+  if (!unit->stale && !devices_[device_index].device->AnyRolledBackInRange(
+                          mdisk, slot * unit_opages_, unit_opages_)) {
+    ++counters.suspect_revived;
+    return;
+  }
+  ++counters.suspect_stale;
+  if (!group.lost && group.readable_units() <= k_) {
+    // Retention floor: stale data beats no data. Keep it; a later
+    // foreground write (or repair once capacity appears) freshens it.
+    return;
+  }
+  RetireUnit(group, *unit, /*enqueue=*/true);
 }
 
 void ClusterCore::ForceReconcile() {
@@ -607,13 +1103,21 @@ void ClusterCore::ForceReconcile() {
 
 Status ClusterCore::CheckInvariants() const {
   const ClusterConfig& config = shared_config();
+  const auto where = [](uint32_t device, MinidiskId mdisk) {
+    return "device " + std::to_string(device) + " mdisk " +
+           std::to_string(mdisk);
+  };
   // Direction 1: every slot-map entry is backed by exactly one live unit
-  // record, and free-slot counts match what the maps actually contain.
-  std::vector<LiveUnit> units;
+  // record whose draining flag matches its mDisk's, free-slot counts match
+  // what the maps contain, and draining_pending counts the occupied slots of
+  // each draining mDisk.
   for (uint32_t d = 0; d < devices_.size(); ++d) {
     const DeviceState& state = devices_[d];
     uint64_t free_count = 0;
     for (const auto& [mdisk, slots] : state.slots) {
+      const auto pending_it = state.draining_pending.find(mdisk);
+      const bool draining = pending_it != state.draining_pending.end();
+      uint32_t occupied = 0;
       for (uint32_t slot = 0; slot < slots.size(); ++slot) {
         const int64_t ref = slots[slot];
         if (ref == kFreeSlot) {
@@ -623,26 +1127,35 @@ Status ClusterCore::CheckInvariants() const {
         if (ref == kUnavailableSlot) {
           continue;
         }
-        const uint64_t group = GroupOfRef(ref);
-        if (ref < 0 || group >= unit_groups()) {
-          return InternalError("slot maps unknown unit ref " +
+        if (ref < 0 || static_cast<uint64_t>(ref) >= groups_.size()) {
+          return InternalError("slot maps unknown group " +
                                std::to_string(ref) + " (device " +
                                std::to_string(d) + ")");
         }
-        units.clear();
-        AppendLiveUnits(group, &units);
-        const auto matches = std::count_if(
-            units.begin(), units.end(), [&](const LiveUnit& u) {
-              return u.ref == ref && u.device == d && u.mdisk == mdisk &&
-                     u.slot == slot;
-            });
+        ++occupied;
+        uint32_t matches = 0;
+        bool unit_draining = false;
+        for (const UnitLocation& u : groups_[ref].units) {
+          if (u.live && u.device == d && u.mdisk == mdisk && u.slot == slot) {
+            ++matches;
+            unit_draining = u.draining;
+          }
+        }
         if (matches != 1) {
           return InternalError(
-              "slot (device " + std::to_string(d) + ", mdisk " +
-              std::to_string(mdisk) + ", slot " + std::to_string(slot) +
+              "slot (" + where(d, mdisk) + ", slot " + std::to_string(slot) +
               ") has " + std::to_string(matches) +
-              " live unit records for ref " + std::to_string(ref));
+              " live unit records for group " + std::to_string(ref));
         }
+        if (unit_draining != draining) {
+          return InternalError("unit draining flag out of sync on " +
+                               where(d, mdisk));
+        }
+      }
+      if (draining && pending_it->second != occupied) {
+        return InternalError(where(d, mdisk) + " draining_pending=" +
+                             std::to_string(pending_it->second) + " but " +
+                             std::to_string(occupied) + " slots occupied");
       }
     }
     if (free_count != state.free_slot_count) {
@@ -651,42 +1164,60 @@ Status ClusterCore::CheckInvariants() const {
                            std::to_string(state.free_slot_count) +
                            " but slot maps hold " + std::to_string(free_count));
     }
+    for (const auto& [mdisk, pending] : state.draining_pending) {
+      if (state.slots.count(mdisk) == 0) {
+        return InternalError("draining_pending for unmapped " +
+                             where(d, mdisk));
+      }
+    }
   }
-  // Direction 2: every live unit record is backed by its slot, and a
-  // group's spreading units are node-disjoint — rack-disjoint too when a
-  // constraining placement policy never had to fall back.
+  // Direction 2: every live unit record is backed by its slot, a group's
+  // spreading units are node-disjoint — rack-disjoint too when a
+  // constraining placement policy never had to fall back — and never exceed
+  // its width, and the lost flag agrees with readability.
   const bool racks_disjoint = config.placement != nullptr &&
                               config.placement->Constrains() &&
                               shared_stats().placement_domain_fallbacks == 0;
-  for (uint64_t group = 0; group < unit_groups(); ++group) {
-    units.clear();
-    AppendLiveUnits(group, &units);
+  for (const UnitGroup& group : groups_) {
+    const std::string name =
+        std::string(traits_.group) + " " + std::to_string(group.id);
     std::vector<uint32_t> nodes;
     std::vector<uint32_t> racks;
-    for (const LiveUnit& u : units) {
+    for (const UnitLocation& u : group.units) {
+      if (!u.live) {
+        continue;
+      }
       const DeviceState& state = devices_[u.device];
       const auto it = state.slots.find(u.mdisk);
-      if (it == state.slots.end() || it->second[u.slot] != u.ref) {
-        return InternalError("group " + std::to_string(group) +
-                             " live unit not backed by slot map (device " +
-                             std::to_string(u.device) + ")");
+      if (it == state.slots.end() ||
+          it->second[u.slot] != static_cast<int64_t>(group.id)) {
+        return InternalError(name + " live unit not backed by slot map (" +
+                             where(u.device, u.mdisk) + ")");
       }
-      if (u.spreads) {
+      if (!u.draining) {
         nodes.push_back(node_of_device(u.device));
         racks.push_back(rack_of_device(u.device));
       }
     }
     std::sort(nodes.begin(), nodes.end());
     if (std::adjacent_find(nodes.begin(), nodes.end()) != nodes.end()) {
-      return InternalError("group " + std::to_string(group) +
-                           " has two live units on one node");
+      return InternalError(name + " has two live units on one node");
     }
     std::sort(racks.begin(), racks.end());
     if (racks_disjoint &&
         std::adjacent_find(racks.begin(), racks.end()) != racks.end()) {
-      return InternalError("group " + std::to_string(group) +
+      return InternalError(name +
                            " has two live units in one rack despite zero "
                            "domain fallbacks");
+    }
+    if (nodes.size() > width_) {
+      return InternalError(name + " over its width: " +
+                           std::to_string(nodes.size()) + " live units");
+    }
+    if (group.lost != (group.readable_units() < k_)) {
+      return InternalError(name + (group.lost
+                                       ? " marked lost but still readable"
+                                       : " unreadable but not marked lost"));
     }
   }
   return OkStatus();
@@ -797,6 +1328,20 @@ uint64_t ClusterCore::live_capacity_bytes() const {
     total += state.device->live_capacity_bytes();
   }
   return total;
+}
+
+uint64_t ClusterCore::groups_at_full_width() const {
+  return static_cast<uint64_t>(
+      std::count_if(groups_.begin(), groups_.end(), [&](const UnitGroup& g) {
+        return !g.lost && g.live_units() >= width_;
+      }));
+}
+
+uint64_t ClusterCore::groups_below_full_width() const {
+  return static_cast<uint64_t>(
+      std::count_if(groups_.begin(), groups_.end(), [&](const UnitGroup& g) {
+        return !g.lost && g.live_units() < width_;
+      }));
 }
 
 uint64_t ClusterCore::total_bytes_written() const {

@@ -41,10 +41,10 @@ struct EcConfig : ClusterConfig {
   uint64_t cell_opages = 64;
 };
 
-// EC-specific counters on top of the shared ClusterStats.
+// EC-specific counters on top of the shared ClusterStats (which also holds
+// foreground_device_writes, the data + parity device writes).
 struct EcStats : ClusterStats {
   uint64_t foreground_logical_writes = 0;  // logical oPage updates
-  uint64_t foreground_device_writes = 0;   // data + parity device writes
   uint64_t rebuild_opage_reads = 0;        // k-way reconstruction reads
   uint64_t rebuild_opage_writes = 0;       // rebuilt cell writes
   uint64_t cells_lost = 0;
@@ -64,47 +64,16 @@ struct EcStats : ClusterStats {
   uint64_t rebuild_write_bytes() const { return rebuild_opage_writes * 4096; }
 };
 
-// One cell's placement. `cell` is the stable index within the stripe
-// (0..k-1 data, k..k+m-1 parity).
-struct CellLocation {
-  uint32_t cell = 0;
-  uint32_t device = 0;
-  MinidiskId mdisk = 0;
-  uint32_t slot = 0;
-  bool live = false;
-  // Stripe generation of the last write that durably landed on this cell
-  // (the PR-4 stamp). Cells the update stream never targeted keep an older
-  // generation and are still fresh — see EcCluster suspect reconciliation.
-  uint64_t generation = 0;
-  // True when the most recent write targeting this cell did not land (node
-  // outage skip, dark device): the on-flash bytes lag the stripe's
-  // checksum generation.
-  bool stale = false;
-};
-
-struct Stripe {
-  StripeId id = 0;
-  std::vector<CellLocation> cells;  // indexed by cell number, stable
-  bool lost = false;
-  // End-to-end integrity metadata (see Chunk::checksum).
-  uint64_t checksum = 0;
-  uint64_t generation = 0;
-
-  uint32_t live_cells() const {
-    uint32_t n = 0;
-    for (const CellLocation& cell : cells) {
-      n += cell.live ? 1 : 0;
-    }
-    return n;
-  }
-};
+// A stripe is a group of k + m cells, indexed by cell number (0..k-1 data,
+// k..k+m-1 parity).
+using CellLocation = UnitLocation;
+using Stripe = UnitGroup;
 
 class EcCluster final : public ClusterCore {
  public:
+  // Bootstrap (ClusterCore) places stripes of k+m node-disjoint cells and
+  // writes every LBA.
   EcCluster(const EcConfig& config, const DeviceFactory& device_factory);
-
-  // Places stripes (k+m node-disjoint cells each) and writes every LBA.
-  Status Bootstrap();
 
   // Issues `logical_writes` random logical oPage updates; each writes its
   // data cell and all m parity cells (the EC read-modify-write).
@@ -134,18 +103,14 @@ class EcCluster final : public ClusterCore {
   uint64_t cell_opages() const { return config_.cell_opages; }
   // Logical oPage address space a traffic engine should target.
   uint64_t logical_opages() const {
-    return stripes_.size() * config_.data_cells * config_.cell_opages;
+    return groups_.size() * config_.data_cells * config_.cell_opages;
   }
 
-  // Drains device events and runs the rebuild scheduler (also invoked
-  // internally by every foreground op).
-  void ProcessEvents() override;
-
   const EcStats& stats() const { return stats_; }
-  uint64_t total_stripes() const { return stripes_.size(); }
-  uint64_t stripes_fully_redundant() const;
-  uint64_t stripes_degraded() const;
-  const Stripe& stripe(StripeId id) const { return stripes_[id]; }
+  uint64_t total_stripes() const { return groups_.size(); }
+  uint64_t stripes_fully_redundant() const { return groups_at_full_width(); }
+  uint64_t stripes_degraded() const { return groups_below_full_width(); }
+  const Stripe& stripe(StripeId id) const { return groups_[id]; }
 
   // Scrapes EcStats with difs.*-parity names ("<prefix>ec.*"), replication-
   // health gauges, and every device's "<prefix>ssd.*" subtree. Cluster-level
@@ -155,73 +120,24 @@ class EcCluster final : public ClusterCore {
                       const std::string& prefix = "") const;
 
  private:
-  static int64_t PackRef(StripeId stripe, uint32_t cell) {
-    return static_cast<int64_t>((stripe << 8) | cell);
-  }
-  static StripeId RefStripe(int64_t ref) {
-    return static_cast<StripeId>(ref) >> 8;
-  }
-  static uint32_t RefCell(int64_t ref) {
-    return static_cast<uint32_t>(ref & 0xff);
-  }
-
   // ---- Core hooks ----------------------------------------------------------
   const ClusterConfig& shared_config() const override { return config_; }
   ClusterStats& shared_stats() override { return stats_; }
   const ClusterStats& shared_stats() const override { return stats_; }
-  void LoseUnit(uint32_t device_index, MinidiskId mdisk, uint32_t slot,
-                int64_t ref) override;
+  SchemeCounters scheme_counters() override;
   // EC forgoes replication's grace window: parity can reconstruct any cell,
   // so a draining mDisk is retired like a lost one — its cells queued for
   // rebuild — and the drain is acked on the spot.
   void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk) override;
-  // One pass over the pending-rebuild queue; returns cells rebuilt.
-  uint64_t RunRepairPass() override;
-  // Walks stripes in id order and moves live cells off flagged devices.
-  void MigrateOffFlaggedDevices() override;
-  // Fresh: the cell missed no write while dark (not `stale`) and no LBA in
-  // its range rolled back. Stale cells are retired and rebuilt from parity.
-  void ReconcileReturnedUnit(uint32_t device_index, MinidiskId mdisk,
-                             uint32_t slot, int64_t ref) override;
-  uint64_t unit_groups() const override { return stripes_.size(); }
-  uint64_t GroupOfRef(int64_t ref) const override { return RefStripe(ref); }
-  void AppendLiveUnits(uint64_t group,
-                       std::vector<LiveUnit>* out) const override;
+  // Reconstructs the first missing cell from k live, reachable sources.
+  bool RepairOneUnit(uint64_t stripe_id) override;
 
-  bool RebuildOneCell(StripeId stripe_id);
-  // Moves one live cell off a flagged device (same contract as
-  // DifsCluster::MigrateReplicaOff).
-  bool MigrateCellOff(Stripe& stripe, CellLocation& cell);
-  // Writes one cell oPage; on success returns the device write latency.
-  StatusOr<SimDuration> WriteCell(CellLocation& cell, uint64_t offset);
-  // Shared body of StepWrites and WriteLogicalAt: stamps the new stripe
-  // generation and writes the data cell plus all parity cells. kDataLoss
-  // (doing nothing further) when the stripe is lost; kUnavailable when the
-  // op is shed whole at queue admission. Draws no RNG.
-  Status WriteLogicalBody(Stripe& stripe, uint32_t data_cell, uint64_t offset,
-                          SimDuration* cost_ns);
   // Shared body of StepReads and ReadLogicalAt. Draws no RNG.
   Status ReadLogicalBody(Stripe& stripe, uint32_t data_cell, uint64_t offset,
                          SimDuration* cost_ns);
 
-  // Retires a corrupt cell and (unless `enqueue` is false — the rebuild loop
-  // already owns the stripe) queues the stripe for rebuild. Refuses when the
-  // stripe is already at its reconstruction floor (k live cells) — dropping
-  // the cell would lose the stripe; counts integrity_retained_cells.
-  bool MarkCellBad(Stripe& stripe, CellLocation& cell, bool enqueue = true);
-  // Drops a live cell: frees its slot, marks it dead, and queues the stripe
-  // for rebuild when `enqueue`.
-  void RetireCell(Stripe& stripe, CellLocation& cell, bool enqueue);
-
-  // Admits the write fan-out (data cell + parity cells) at kForegroundWrite
-  // on every target device, all-or-nothing; `extra_ns` receives the max of
-  // the per-device waits (the fan-out is parallel) plus any shed backoff.
-  bool AdmitForegroundWrite(const Stripe& stripe, uint32_t data_cell,
-                            uint64_t* extra_ns);
-
   const EcConfig config_;
   EcStats stats_;
-  std::vector<Stripe> stripes_;
 };
 
 }  // namespace salamander

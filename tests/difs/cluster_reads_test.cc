@@ -81,7 +81,7 @@ TEST(DifsPlacementTest, MultiDeviceNodesStillPlaceNodeDisjoint) {
   for (ChunkId c = 0; c < cluster.total_chunks(); ++c) {
     const Chunk& chunk = cluster.chunk(c);
     std::set<uint32_t> nodes;
-    for (const ReplicaLocation& replica : chunk.replicas) {
+    for (const ReplicaLocation& replica : chunk.units) {
       nodes.insert(cluster.node_of_device(replica.device));
     }
     EXPECT_EQ(nodes.size(), 3u) << "chunk " << c << " shares a node";
@@ -110,7 +110,7 @@ TEST(DifsPlacementTest, RecoveryKeepsNodeDisjointness) {
     }
     std::set<uint32_t> nodes;
     uint32_t live = 0;
-    for (const ReplicaLocation& replica : chunk.replicas) {
+    for (const ReplicaLocation& replica : chunk.units) {
       if (replica.live && !replica.draining) {
         nodes.insert(cluster.node_of_device(replica.device));
         ++live;

@@ -280,8 +280,8 @@ uint64_t DifsDigest(const DifsCluster& cluster) {
     d.Add(chunk.lost ? 1 : 0);
     d.Add(chunk.generation);
     d.Add(chunk.checksum);
-    d.Add(chunk.replicas.size());
-    for (const ReplicaLocation& r : chunk.replicas) {
+    d.Add(chunk.units.size());
+    for (const ReplicaLocation& r : chunk.units) {
       d.Add(r.device);
       d.Add(r.mdisk);
       d.Add(r.slot);
@@ -315,9 +315,9 @@ uint64_t EcDigest(const EcCluster& cluster) {
     d.Add(stripe.lost ? 1 : 0);
     d.Add(stripe.generation);
     d.Add(stripe.checksum);
-    d.Add(stripe.cells.size());
-    for (uint32_t c = 0; c < stripe.cells.size(); ++c) {
-      const CellLocation& cell = stripe.cells[c];
+    d.Add(stripe.units.size());
+    for (uint32_t c = 0; c < stripe.units.size(); ++c) {
+      const CellLocation& cell = stripe.units[c];
       d.Add(c);
       d.Add(cell.device);
       d.Add(cell.mdisk);

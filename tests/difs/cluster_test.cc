@@ -48,9 +48,9 @@ TEST(DifsClusterTest, BootstrapPlacesOnDistinctNodes) {
   EXPECT_EQ(cluster.chunks_fully_replicated(), 8u);
   for (ChunkId c = 0; c < cluster.total_chunks(); ++c) {
     const Chunk& chunk = cluster.chunk(c);
-    ASSERT_EQ(chunk.replicas.size(), 3u);
+    ASSERT_EQ(chunk.units.size(), 3u);
     std::set<uint32_t> nodes;
-    for (const ReplicaLocation& replica : chunk.replicas) {
+    for (const ReplicaLocation& replica : chunk.units) {
       nodes.insert(cluster.node_of_device(replica.device));
     }
     EXPECT_EQ(nodes.size(), 3u) << "chunk " << c << " not node-disjoint";

@@ -51,7 +51,7 @@ TEST(DeferredRecoveryTest, ParkedChunksReArmWhenRegenerationAddsCapacity) {
   std::vector<ChunkId> parked;
   for (ChunkId c = 0; c < cluster.total_chunks(); ++c) {
     const Chunk& chunk = cluster.chunk(c);
-    if (!chunk.lost && chunk.live_replicas() < config.replication) {
+    if (!chunk.lost && chunk.live_units() < config.replication) {
       parked.push_back(c);
     }
   }
@@ -62,7 +62,7 @@ TEST(DeferredRecoveryTest, ParkedChunksReArmWhenRegenerationAddsCapacity) {
   const auto parked_chunk_recovered = [&] {
     for (ChunkId c : parked) {
       const Chunk& chunk = cluster.chunk(c);
-      if (!chunk.lost && chunk.live_replicas() >= config.replication) {
+      if (!chunk.lost && chunk.live_units() >= config.replication) {
         return true;
       }
     }
@@ -92,7 +92,7 @@ TEST(DeferredRecoveryTest, ParkedChunksReArmWhenRegenerationAddsCapacity) {
   for (ChunkId c : parked) {
     const Chunk& chunk = cluster.chunk(c);
     if (!chunk.lost) {
-      EXPECT_LE(chunk.live_replicas(), config.replication);
+      EXPECT_LE(chunk.live_units(), config.replication);
     }
   }
 }

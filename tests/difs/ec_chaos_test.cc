@@ -131,7 +131,7 @@ TEST(EcChaosTest, ReconstructionFloorRetainsCorruptCells) {
   EXPECT_GT(cluster.stats().integrity_retained_cells, 0u);
   EXPECT_EQ(cluster.stats().stripes_lost, 0u);
   for (StripeId s = 0; s < cluster.total_stripes(); ++s) {
-    EXPECT_GE(cluster.stripe(s).live_cells(), 4u) << "stripe " << s;
+    EXPECT_GE(cluster.stripe(s).live_units(), 4u) << "stripe " << s;
   }
 }
 

@@ -41,21 +41,33 @@ TEST(EcClusterTest, BootstrapPlacesNodeDisjointStripes) {
   EXPECT_EQ(cluster.stripes_fully_redundant(), cluster.total_stripes());
   for (StripeId s = 0; s < cluster.total_stripes(); ++s) {
     const Stripe& stripe = cluster.stripe(s);
-    ASSERT_EQ(stripe.cells.size(), 6u);
+    ASSERT_EQ(stripe.units.size(), 6u);
     std::set<uint32_t> nodes;
-    for (const CellLocation& cell : stripe.cells) {
+    for (const CellLocation& cell : stripe.units) {
       nodes.insert(cluster.node_of_device(cell.device));
     }
     EXPECT_EQ(nodes.size(), 6u) << "stripe " << s;
   }
 }
 
+// A cell's index in the stripe is its cell number: a rebuild replaces the
+// lost cell in place and leaves every other cell where it was.
 TEST(EcClusterTest, CellIndicesAreStable) {
   EcCluster cluster(TestConfig(), Factory(1000000));
   ASSERT_TRUE(cluster.Bootstrap().ok());
-  const Stripe& stripe = cluster.stripe(0);
-  for (uint32_t c = 0; c < stripe.cells.size(); ++c) {
-    EXPECT_EQ(stripe.cells[c].cell, c);
+  const Stripe before = cluster.stripe(0);
+  cluster.device(before.units[1].device).Crash();
+  cluster.ProcessEvents();
+  const Stripe& after = cluster.stripe(0);
+  ASSERT_EQ(after.units.size(), before.units.size());
+  for (uint32_t c = 0; c < after.units.size(); ++c) {
+    EXPECT_TRUE(after.units[c].live) << "cell " << c;
+    if (c == 1) {
+      EXPECT_NE(after.units[c].device, before.units[c].device);
+    } else {
+      EXPECT_EQ(after.units[c].device, before.units[c].device);
+      EXPECT_EQ(after.units[c].slot, before.units[c].slot);
+    }
   }
 }
 
@@ -125,7 +137,7 @@ TEST(EcClusterTest, RebuiltStripesStayNodeDisjoint) {
     }
     std::set<uint32_t> nodes;
     uint32_t live = 0;
-    for (const CellLocation& cell : stripe.cells) {
+    for (const CellLocation& cell : stripe.units) {
       if (cell.live) {
         nodes.insert(cluster.node_of_device(cell.device));
         ++live;

@@ -60,7 +60,7 @@ PlacementTable(const DifsCluster& cluster) {
   std::vector<std::vector<std::tuple<uint32_t, MinidiskId, uint32_t>>> table;
   for (ChunkId id = 0; id < cluster.total_chunks(); ++id) {
     std::vector<std::tuple<uint32_t, MinidiskId, uint32_t>> replicas;
-    for (const ReplicaLocation& r : cluster.chunk(id).replicas) {
+    for (const ReplicaLocation& r : cluster.chunk(id).units) {
       if (r.live) {
         replicas.emplace_back(r.device, r.mdisk, r.slot);
       }
@@ -74,7 +74,7 @@ void ExpectRackDisjoint(const DifsCluster& cluster) {
   for (ChunkId id = 0; id < cluster.total_chunks(); ++id) {
     std::set<uint32_t> racks;
     uint32_t live = 0;
-    for (const ReplicaLocation& r : cluster.chunk(id).replicas) {
+    for (const ReplicaLocation& r : cluster.chunk(id).units) {
       if (r.live && !r.draining) {
         ++live;
         racks.insert(cluster.rack_of_device(r.device));
@@ -134,7 +134,7 @@ TEST(PlacementDeterminismTest, SingleRackTopologyFallsBackCounted) {
   for (ChunkId id = 0; id < cluster.total_chunks(); ++id) {
     std::set<uint32_t> nodes;
     uint32_t live = 0;
-    for (const ReplicaLocation& r : cluster.chunk(id).replicas) {
+    for (const ReplicaLocation& r : cluster.chunk(id).units) {
       if (r.live) {
         ++live;
         nodes.insert(cluster.node_of_device(r.device));
@@ -220,7 +220,7 @@ TEST(PlacementDeterminismTest, ProactiveDrainMigratesAndAccountsSeparately) {
   // A completed drain leaves no live replica on the flagged device.
   if (stats.drain_devices_completed > 0) {
     for (ChunkId id = 0; id < cluster.total_chunks(); ++id) {
-      for (const ReplicaLocation& r : cluster.chunk(id).replicas) {
+      for (const ReplicaLocation& r : cluster.chunk(id).units) {
         if (r.live && !r.draining) {
           EXPECT_TRUE(!cluster.device(r.device).failed() ||
                       cluster.device(r.device).transiently_dark());
@@ -261,7 +261,7 @@ TEST(PlacementDeterminismTest, EcDomainSpreadNeverColocatesCellsInOneRack) {
   for (StripeId id = 0; id < cluster.total_stripes(); ++id) {
     std::set<uint32_t> racks;
     uint32_t live = 0;
-    for (const CellLocation& cell : cluster.stripe(id).cells) {
+    for (const CellLocation& cell : cluster.stripe(id).units) {
       if (cell.live) {
         ++live;
         racks.insert(cluster.rack_of_device(cell.device));
@@ -291,7 +291,7 @@ TEST(PlacementDeterminismTest, EcUniformPolicyBitIdenticalToNullPolicy) {
     std::vector<std::vector<std::pair<uint32_t, bool>>> table;
     for (StripeId id = 0; id < cluster.total_stripes(); ++id) {
       std::vector<std::pair<uint32_t, bool>> cells;
-      for (const CellLocation& cell : cluster.stripe(id).cells) {
+      for (const CellLocation& cell : cluster.stripe(id).units) {
         cells.emplace_back(cell.device, cell.live);
       }
       table.push_back(std::move(cells));
@@ -372,7 +372,7 @@ TEST(PlacementDeterminismTest, HedgeFallsBackWhenAlternateRackDark) {
   // leaving only one live serving replica.
   const Chunk& chunk = cluster.chunk(0);
   std::vector<uint32_t> holders;
-  for (const ReplicaLocation& r : chunk.replicas) {
+  for (const ReplicaLocation& r : chunk.units) {
     if (r.live) {
       holders.push_back(r.device);
     }

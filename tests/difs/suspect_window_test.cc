@@ -215,7 +215,7 @@ TEST(SuspectWindowTest, EcReadLogicalAtDuringGraceServesDegraded) {
   uint64_t healthy_data_reads = 0;
   for (StripeId id = 0; id < cluster.total_stripes(); ++id) {
     for (uint32_t c = 0; c < cluster.data_cells(); ++c) {
-      const CellLocation& cell = cluster.stripe(id).cells[c];
+      const CellLocation& cell = cluster.stripe(id).units[c];
       // Grace window: the dark device's cells are still live (held, not
       // declared lost) — that is exactly the state under test.
       ASSERT_TRUE(cell.live) << "stripe " << id << " cell " << c;
