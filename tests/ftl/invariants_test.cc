@@ -3,6 +3,8 @@
 // (tiredness cap, retirement granularity, ECC placement, wear intensity).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.h"
 #include "ftl/ftl.h"
 #include "tests/testing/device_builder.h"
@@ -13,20 +15,17 @@ namespace {
 using testing_util::TestFtlConfig;
 using testing_util::TinyGeometry;
 
-// gtest prints this struct byte-for-byte into each case's listed test name,
-// so a fixed tag leads it: were the name pointer first, the names would move
-// with wherever the linker puts the string literals. Each tag is the leading
-// byte the case was first listed under.
 struct InvariantCase {
-  uint8_t tag;
   EccPlacement placement;
   uint32_t nominal_pec;
   unsigned max_level;
   RetirementGranularity retirement;
   const char* name;
 };
-static_assert(sizeof(InvariantCase) == 24,
-              "the size is part of every listed case name");
+
+// gtest lists each case with its printed parameter: print the case name, not
+// the struct's bytes (which would carry padding and a pointer).
+void PrintTo(const InvariantCase& c, std::ostream* os) { *os << c.name; }
 
 class FtlInvariantsTest : public ::testing::TestWithParam<InvariantCase> {};
 
@@ -66,19 +65,19 @@ TEST_P(FtlInvariantsTest, AccountingConsistentUnderChurn) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, FtlInvariantsTest,
     ::testing::Values(
-        InvariantCase{0xE0, EccPlacement::kInline, 1000000, 0,
+        InvariantCase{EccPlacement::kInline, 1000000, 0,
                       RetirementGranularity::kPage, "healthy_shrinks"},
-        InvariantCase{0xF0, EccPlacement::kInline, 25, 0,
+        InvariantCase{EccPlacement::kInline, 25, 0,
                       RetirementGranularity::kPage, "wearing_shrinks"},
-        InvariantCase{0x00, EccPlacement::kInline, 25, 1,
+        InvariantCase{EccPlacement::kInline, 25, 1,
                       RetirementGranularity::kPage, "wearing_regens"},
-        InvariantCase{0x0F, EccPlacement::kInline, 25, 2,
+        InvariantCase{EccPlacement::kInline, 25, 2,
                       RetirementGranularity::kPage, "regens_l2"},
-        InvariantCase{0x19, EccPlacement::kDedicated, 25, 1,
+        InvariantCase{EccPlacement::kDedicated, 25, 1,
                       RetirementGranularity::kPage, "regens_dedicated"},
-        InvariantCase{0x2A, EccPlacement::kInline, 25, 0,
+        InvariantCase{EccPlacement::kInline, 25, 0,
                       RetirementGranularity::kBlockWorstPage, "block_worst"},
-        InvariantCase{0x36, EccPlacement::kInline, 25, 0,
+        InvariantCase{EccPlacement::kInline, 25, 0,
                       RetirementGranularity::kBlockAverage, "block_average"}),
     [](const ::testing::TestParamInfo<InvariantCase>& param_info) {
       return param_info.param.name;
