@@ -16,42 +16,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/fig3_fleet.h"
 #include "fleet/fleet_sim.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
 #include "telemetry/trace.h"
-
-namespace salamander {
-namespace {
-
-FleetConfig BenchFleet(SsdKind kind, uint32_t days) {
-  FleetConfig config;
-  config.kind = kind;
-  config.devices = 16;
-  // 256 blocks x 16 fPages x 4 oPages = 64 MiB raw: enough blocks that the
-  // baseline's 2.5% bad-block budget [14] is ~6 blocks rather than "the
-  // first weak block bricks the device".
-  config.geometry.channels = 2;
-  config.geometry.dies_per_channel = 2;
-  config.geometry.planes_per_die = 1;
-  config.geometry.blocks_per_plane = 64;
-  config.geometry.fpages_per_block = 16;
-  config.ecc = FPageEccGeometry{};
-  config.wear = WearModel::Calibrate(
-      ComputeTirednessLevel(config.ecc, 0).max_tolerable_rber,
-      /*nominal_pec=*/640);
-  config.msize_opages = 256;  // 1 MiB mDisks
-  config.dwpd = 2.0;
-  config.dwpd_sigma = 0.25;  // shard imbalance across devices
-  config.afr = 0.02;
-  config.days = days;
-  config.sample_every_days = 5;
-  config.seed = 20250514;
-  return config;
-}
-
-}  // namespace
-}  // namespace salamander
 
 int main(int argc, char** argv) {
   using namespace salamander;
@@ -59,23 +28,10 @@ int main(int argc, char** argv) {
       "Figure 3a — functioning SSDs over time",
       "baseline devices brick in a narrow window; RegenS flattens the "
       "failure slope (green vs red in the paper)");
-  // Snapshot values are identical for any thread count and either scheduler
-  // engine; see DESIGN.md "Threading & determinism" and "Event-driven fleet
-  // core".
-  const unsigned threads = bench::ParseThreads(argc, argv);
-  const std::string sched = bench::ParseSchedFlag(argc, argv);
-  // Simulated horizon; the table runs to it. The default is the figure's.
-  const uint64_t days_flag = bench::ParseU64Flag(argc, argv, "--days", 300);
-  if (days_flag == 0 || days_flag > 100000) {
-    std::fprintf(stderr, "error: --days expects 1..100000, got %llu\n",
-                 static_cast<unsigned long long>(days_flag));
+  bench::Fig3Flags flags;
+  if (!bench::ParseFig3Flags(argc, argv, &flags)) {
     return 2;
   }
-  const uint32_t days = static_cast<uint32_t>(days_flag);
-  const std::string metrics_out =
-      bench::ParseStringFlag(argc, argv, "--metrics-out");
-  const std::string trace_out =
-      bench::ParseStringFlag(argc, argv, "--trace-out");
 
   // One registry across the three kinds; each kind's instruments live under
   // its own "<kind>." prefix. The reported numbers below are pulled from
@@ -86,12 +42,7 @@ int main(int argc, char** argv) {
   uint32_t lane = 0;
   for (SsdKind kind :
        {SsdKind::kBaseline, SsdKind::kShrinkS, SsdKind::kRegenS}) {
-    FleetConfig config = BenchFleet(kind, days);
-    config.threads = threads;
-    config.scheduler = sched == "lockstep" ? FleetSchedulerMode::kLockstep
-                                           : FleetSchedulerMode::kEventDriven;
-    config.trace = &trace;
-    config.trace_tid = lane++;
+    FleetConfig config = bench::Fig3Fleet(kind, flags, &trace, lane++);
     FleetSim sim(config);
     runs[kind] = sim.Run();
     sim.CollectMetrics(registry, std::string(SsdKindName(kind)) + ".");
@@ -115,7 +66,7 @@ int main(int argc, char** argv) {
     }
     return value;
   };
-  for (uint32_t day = 0; day <= days; day += 5) {
+  for (uint32_t day = 0; day <= flags.days; day += 5) {
     std::printf("%u\t%u\t%u\t%u\n", day,
                 value_at(runs[SsdKind::kBaseline], day),
                 value_at(runs[SsdKind::kShrinkS], day),
@@ -140,13 +91,5 @@ int main(int argc, char** argv) {
                     regenerations != nullptr ? regenerations->value() : 0));
   }
 
-  if (!metrics_out.empty() && !registry.WriteJsonFile(metrics_out)) {
-    std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-    return 1;
-  }
-  if (!trace_out.empty() && !trace.WriteJsonFile(trace_out)) {
-    std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-    return 1;
-  }
-  return 0;
+  return bench::WriteFig3Outputs(flags, registry, trace) ? 0 : 1;
 }

@@ -11,43 +11,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/fig3_fleet.h"
 #include "common/units.h"
 #include "fleet/fleet_sim.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
 #include "telemetry/trace.h"
-
-namespace salamander {
-namespace {
-
-FleetConfig BenchFleet(SsdKind kind, uint32_t days) {
-  FleetConfig config;
-  config.kind = kind;
-  config.devices = 16;
-  // 256 blocks x 16 fPages x 4 oPages = 64 MiB raw: enough blocks that the
-  // baseline's 2.5% bad-block budget [14] is ~6 blocks rather than "the
-  // first weak block bricks the device".
-  config.geometry.channels = 2;
-  config.geometry.dies_per_channel = 2;
-  config.geometry.planes_per_die = 1;
-  config.geometry.blocks_per_plane = 64;
-  config.geometry.fpages_per_block = 16;
-  config.ecc = FPageEccGeometry{};
-  config.wear = WearModel::Calibrate(
-      ComputeTirednessLevel(config.ecc, 0).max_tolerable_rber,
-      /*nominal_pec=*/640);
-  config.msize_opages = 256;
-  config.dwpd = 2.0;
-  config.dwpd_sigma = 0.25;  // shard imbalance across devices
-  config.afr = 0.02;
-  config.days = days;
-  config.sample_every_days = 5;
-  config.seed = 20250514;  // same batch as fig3a
-  return config;
-}
-
-}  // namespace
-}  // namespace salamander
 
 int main(int argc, char** argv) {
   using namespace salamander;
@@ -55,20 +24,10 @@ int main(int argc, char** argv) {
       "Figure 3b — available capacity over time",
       "baseline capacity drops in whole-device cliffs; Salamander shrinks "
       "gradually and retains capacity longer");
-  const unsigned threads = bench::ParseThreads(argc, argv);
-  const std::string sched = bench::ParseSchedFlag(argc, argv);
-  // Simulated horizon; the table runs to it. The default is the figure's.
-  const uint64_t days_flag = bench::ParseU64Flag(argc, argv, "--days", 300);
-  if (days_flag == 0 || days_flag > 100000) {
-    std::fprintf(stderr, "error: --days expects 1..100000, got %llu\n",
-                 static_cast<unsigned long long>(days_flag));
+  bench::Fig3Flags flags;
+  if (!bench::ParseFig3Flags(argc, argv, &flags)) {
     return 2;
   }
-  const uint32_t days = static_cast<uint32_t>(days_flag);
-  const std::string metrics_out =
-      bench::ParseStringFlag(argc, argv, "--metrics-out");
-  const std::string trace_out =
-      bench::ParseStringFlag(argc, argv, "--trace-out");
 
   MetricRegistry registry;
   TraceRecorder trace;
@@ -81,13 +40,8 @@ int main(int argc, char** argv) {
   uint32_t lane = 0;
   for (SsdKind kind :
        {SsdKind::kBaseline, SsdKind::kShrinkS, SsdKind::kRegenS}) {
-    FleetConfig config = BenchFleet(kind, days);
-    config.threads = threads;
-    config.scheduler = sched == "lockstep" ? FleetSchedulerMode::kLockstep
-                                           : FleetSchedulerMode::kEventDriven;
+    FleetConfig config = bench::Fig3Fleet(kind, flags, &trace, lane++);
     config.sampler = &samplers[kind];
-    config.trace = &trace;
-    config.trace_tid = lane++;
     storage.push_back(std::make_unique<FleetSim>(config));
     runs[kind] = storage.back()->Run();
     sims[kind] = storage.back().get();
@@ -112,7 +66,7 @@ int main(int argc, char** argv) {
     }
     return ToGiB(static_cast<uint64_t>(value));
   };
-  for (uint32_t day = 0; day <= days; day += 5) {
+  for (uint32_t day = 0; day <= flags.days; day += 5) {
     std::printf("%u\t%.3f\t%.3f\t%.3f\n", day,
                 value_at(SsdKind::kBaseline, day),
                 value_at(SsdKind::kShrinkS, day),
@@ -135,13 +89,5 @@ int main(int argc, char** argv) {
             .c_str());
   }
 
-  if (!metrics_out.empty() && !registry.WriteJsonFile(metrics_out)) {
-    std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-    return 1;
-  }
-  if (!trace_out.empty() && !trace.WriteJsonFile(trace_out)) {
-    std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-    return 1;
-  }
-  return 0;
+  return bench::WriteFig3Outputs(flags, registry, trace) ? 0 : 1;
 }
