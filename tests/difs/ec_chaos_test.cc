@@ -116,7 +116,7 @@ TEST(EcChaosTest, CorruptionIsDetectedExactlyAndRebuilt) {
 }
 
 // With every device corrupting every read, retiring cells would march every
-// stripe below its reconstruction floor. MarkCellBad must refuse at k live
+// stripe below its reconstruction floor. MarkUnitBad must refuse at k live
 // cells: corrupt cells are retained, and stripe loss from corruption alone
 // is impossible by construction.
 TEST(EcChaosTest, ReconstructionFloorRetainsCorruptCells) {
