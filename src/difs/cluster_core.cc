@@ -75,7 +75,10 @@ void ClusterCore::SetUpDevices(uint32_t nodes, uint64_t unit_opages,
 // ---------------------------------------------------------------------------
 
 void ClusterCore::ProcessEvents() {
-  const uint64_t wave_start = scheme_counters().repair_writes;
+  // Repair I/O of this wave; only repair passes with work write any, so the
+  // count starts at the first one.
+  bool repairing = false;
+  uint64_t wave_start = 0;
   for (;;) {
     size_t events = 0;
     for (uint32_t i = 0; i < devices_.size(); ++i) {
@@ -85,13 +88,21 @@ void ClusterCore::ProcessEvents() {
       // The placement landscape changed; parked repairs get another shot.
       RequeueWaiting();
     }
+    if (pending_repairs_.empty()) {
+      break;
+    }
+    if (!repairing) {
+      repairing = true;
+      wave_start = scheme_counters().repair_writes;
+    }
     const uint64_t repaired = RunRepairPass();
     units_repaired_ += repaired;
     if (repaired == 0) {
       break;
     }
   }
-  const uint64_t wave = scheme_counters().repair_writes - wave_start;
+  const uint64_t wave =
+      repairing ? scheme_counters().repair_writes - wave_start : 0;
   if (wave > 0) {
     ClusterStats& stats = shared_stats();
     ++stats.recovery_waves;

@@ -586,8 +586,11 @@ class ClusterCore {
   // Runs `op`, retrying kUnavailable per the scheme's RetryPolicy.
   template <typename Op>
   auto WithTransientRetry(Op op) -> decltype(op()) {
-    ClusterStats& stats = shared_stats();
     auto result = op();
+    if (ResultCode(result) != StatusCode::kUnavailable) {
+      return result;
+    }
+    ClusterStats& stats = shared_stats();
     for (uint32_t retry = 0; ResultCode(result) == StatusCode::kUnavailable &&
                              retry < traits_.retry.max_retries;
          ++retry) {
