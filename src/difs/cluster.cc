@@ -42,8 +42,7 @@ ClusterCore::SchemeCounters DifsCluster::scheme_counters() {
           .units_migrated = stats_.drain_replicas_migrated,
           .retained = stats_.integrity_retained_last_copies,
           .suspect_revived = stats_.suspect_replicas_revived,
-          .suspect_stale = stats_.suspect_replicas_stale,
-          .foreground_writes = stats_.foreground_opage_writes};
+          .suspect_stale = stats_.suspect_replicas_stale};
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +152,8 @@ Status DifsCluster::StepWrites(uint64_t opage_writes) {
       continue;
     }
     const uint64_t offset = rng_.UniformU64(config_.chunk_opages);
-    (void)WriteGroup(chunk, /*data_unit=*/0, offset, nullptr);
+    (void)WriteGroup(chunk, /*data_unit=*/0, offset, nullptr,
+                     &stats_.foreground_opage_writes);
   }
   return OkStatus();
 }
@@ -172,7 +172,8 @@ Status DifsCluster::WriteChunkAt(ChunkId chunk_id, uint64_t offset,
   if (groups_[chunk_id].lost) {
     return DataLossError("WriteChunkAt: chunk lost");
   }
-  return WriteGroup(groups_[chunk_id], /*data_unit=*/0, offset, cost_ns);
+  return WriteGroup(groups_[chunk_id], /*data_unit=*/0, offset, cost_ns,
+                    &stats_.foreground_opage_writes);
 }
 
 Status DifsCluster::ReadChunkImpl(ChunkId chunk_id, const uint64_t* offset_ptr,

@@ -420,7 +420,8 @@ bool ClusterCore::AdmitWriteFanOut(const UnitGroup& group, uint32_t data_unit,
 }
 
 Status ClusterCore::WriteGroup(UnitGroup& group, uint32_t data_unit,
-                               uint64_t offset, SimDuration* cost_ns) {
+                               uint64_t offset, SimDuration* cost_ns,
+                               uint64_t* logical_writes) {
   ClusterStats& stats = shared_stats();
   uint64_t sched_extra_ns = 0;  // parallel admission wait + shed backoff
   if (QueueingEnabled()) {
@@ -466,7 +467,7 @@ Status ClusterCore::WriteGroup(UnitGroup& group, uint32_t data_unit,
   }
   stats.sched_wait_ns += sched_extra_ns;
   RecordForegroundLatency(total);
-  ++scheme_counters().foreground_writes;
+  ++*logical_writes;
   ProcessEvents();
   MaybeRunMaintenance();
   return OkStatus();

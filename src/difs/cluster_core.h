@@ -200,12 +200,12 @@ struct UnitLocation {
   // Replication's grace window: the mDisk is draining, so the unit is still
   // readable but no longer counts toward the group's width. Never set by EC.
   bool draining = false;
-  // Group generation of the last write that landed on this unit.
-  uint64_t generation = 0;
   // The most recent write targeting this unit did not land (node outage,
   // dark device, draining mDisk): its bytes lag the group's checksum. A
   // suspect device's returning units are fresh only when not stale.
   bool stale = false;
+  // Group generation of the last write that landed on this unit.
+  uint64_t generation = 0;
 };
 
 // A redundancy group: a chunk of R replicas or a stripe of k + m cells.
@@ -377,8 +377,6 @@ class ClusterCore {
     uint64_t& retained;
     uint64_t& suspect_revived;     // suspect_replicas_ / suspect_cells_revived
     uint64_t& suspect_stale;       // suspect_replicas_ / suspect_cells_stale
-    // foreground_opage_writes / foreground_logical_writes
-    uint64_t& foreground_writes;
   };
 
   static constexpr int64_t kFreeSlot = -1;
@@ -466,9 +464,10 @@ class ClusterCore {
   // all-or-nothing queue admission — a refused op touches no unit and sheds
   // whole (kUnavailable). Every targeted live unit takes the write with the
   // new generation, or is marked stale; the op costs its slowest unit write
-  // plus transient-retry backoff and admission wait. Draws no RNG.
+  // plus transient-retry backoff and admission wait, and counts one in
+  // `*logical_writes`. Draws no RNG.
   Status WriteGroup(UnitGroup& group, uint32_t data_unit, uint64_t offset,
-                    SimDuration* cost_ns);
+                    SimDuration* cost_ns, uint64_t* logical_writes);
   // Writes one unit oPage (live, non-draining units only; skipped and
   // counted under a node outage); on success returns the write latency.
   StatusOr<SimDuration> WriteUnit(const UnitLocation& unit, uint64_t offset);

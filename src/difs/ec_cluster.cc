@@ -39,8 +39,7 @@ ClusterCore::SchemeCounters EcCluster::scheme_counters() {
           .units_migrated = stats_.drain_cells_migrated,
           .retained = stats_.integrity_retained_cells,
           .suspect_revived = stats_.suspect_cells_revived,
-          .suspect_stale = stats_.suspect_cells_stale,
-          .foreground_writes = stats_.foreground_logical_writes};
+          .suspect_stale = stats_.suspect_cells_stale};
 }
 
 // ---------------------------------------------------------------------------
@@ -131,7 +130,8 @@ Status EcCluster::StepWrites(uint64_t logical_writes) {
     const uint32_t data_cell =
         static_cast<uint32_t>(rng_.UniformU64(config_.data_cells));
     const uint64_t offset = rng_.UniformU64(config_.cell_opages);
-    (void)WriteGroup(stripe, data_cell, offset, nullptr);
+    (void)WriteGroup(stripe, data_cell, offset, nullptr,
+                     &stats_.foreground_logical_writes);
   }
   return OkStatus();
 }
@@ -148,7 +148,8 @@ Status EcCluster::WriteLogicalAt(StripeId stripe_id, uint32_t data_cell,
   if (groups_[stripe_id].lost) {
     return DataLossError("WriteLogicalAt: stripe lost");
   }
-  return WriteGroup(groups_[stripe_id], data_cell, offset, cost_ns);
+  return WriteGroup(groups_[stripe_id], data_cell, offset, cost_ns,
+                    &stats_.foreground_logical_writes);
 }
 
 Status EcCluster::ReadLogicalBody(Stripe& stripe, uint32_t data_cell,
