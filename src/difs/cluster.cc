@@ -84,10 +84,7 @@ void DifsCluster::HandleMdiskDraining(uint32_t device_index,
   }
   if (pending == 0) {
     // Nothing to migrate: ack immediately. A lost ack is re-sent by resync.
-    // SendAckDrain counts an accepted ack; this path counts a lost one too.
-    if (!SendAckDrain(device_index, mdisk)) {
-      ++stats_.drains_acked;
-    }
+    SendAckDrain(device_index, mdisk);
     state.slots.erase(it);
   } else {
     state.draining_pending[mdisk] = pending;

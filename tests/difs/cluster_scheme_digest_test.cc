@@ -352,7 +352,7 @@ TEST(ClusterSchemeDigestTest, DifsFaults) {
   EXPECT_GT(s.node_outages, 0u);
   EXPECT_GT(s.integrity_detected, 0u);
   EXPECT_GT(s.transient_retries, 0u);
-  ExpectDigest(DifsDigest(cluster), 0x87f065189f048b95ULL, "difs/faults");
+  ExpectDigest(DifsDigest(cluster), 0x786ce10e2f143d59ULL, "difs/faults");
 }
 
 TEST(ClusterSchemeDigestTest, DifsFeatures) {

@@ -3,7 +3,10 @@
 // reclaims.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "difs/cluster.h"
+#include "faults/fault_injector.h"
 #include "tests/testing/device_builder.h"
 
 namespace salamander {
@@ -81,6 +84,28 @@ TEST(DrainProtocolTest, DrainedReadsServeDuringGraceWindow) {
   // Reads across the cluster must keep succeeding.
   ASSERT_TRUE(cluster.StepReads(500).ok());
   EXPECT_EQ(cluster.chunks_lost(), 0u);
+}
+
+// Every AckDrain is lost on the way: no drain may count as acked, whether
+// the draining mDisk still held replicas or none at all (acked on the spot),
+// and however often resync re-sends the ack.
+TEST(DrainProtocolTest, LostAcksAreNeverCountedAsAcked) {
+  DifsConfig config = DrainClusterConfig();
+  FaultConfig cluster_faults;
+  cluster_faults.ack_drain_lost = 1.0;
+  config.faults =
+      std::make_shared<FaultInjector>(cluster_faults, /*stream_id=*/1000);
+  DifsCluster cluster(config, DrainFactory(/*nominal_pec=*/25));
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+  for (uint64_t steps = 0; steps < 60000 && cluster.alive_devices() >= 3 &&
+                           cluster.stats().acks_lost < 8;
+       steps += 500) {
+    ASSERT_TRUE(cluster.StepWrites(500).ok());
+  }
+  const DifsStats& stats = cluster.stats();
+  ASSERT_GT(stats.drains_started, 0u) << "no drain ever started";
+  ASSERT_GT(stats.acks_lost, 0u);
+  EXPECT_EQ(stats.drains_acked, 0u);
 }
 
 }  // namespace
